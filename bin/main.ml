@@ -179,8 +179,8 @@ let parse_setup = function
 let mpl_arg =
   let doc =
     "Multiprogramming level: number of concurrent simulated transaction \
-     processes. 1 uses the classic single-user driver; above 1 the run \
-     executes on the discrete-event scheduler."
+     processes on the discrete-event scheduler. 1 is the paper's \
+     single-user configuration."
   in
   Arg.(value & opt int 1 & info [ "mpl" ] ~docv:"N" ~doc)
 
@@ -192,20 +192,13 @@ let tpcb_cmd =
         (with_disks ~ndisks ~log_disk ~log_streams
            (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default))
     in
-    let r =
-      if mpl <= 1 then
-        Expcommon.run_tpcb ~config ~scale:(Tpcb.scale_for_tps scale) ~txns
-          ~seed setup
-      else begin
-        let r, multi =
-          Expcommon.run_tpcb_mpl ~config ~scale:(Tpcb.scale_for_tps scale)
-            ~txns ~seed ~mpl setup
-        in
-        Printf.printf "mpl %d: %d lock block(s), %d deadlock(s), %d restart(s)\n"
-          mpl multi.Tpcb.conflicts multi.Tpcb.deadlocks multi.Tpcb.restarts;
-        r
-      end
+    let r, multi =
+      Expcommon.run_tpcb_mpl ~config ~scale:(Tpcb.scale_for_tps scale) ~txns
+        ~seed ~mpl setup
     in
+    if mpl > 1 then
+      Printf.printf "mpl %d: %d lock block(s), %d deadlock(s), %d restart(s)\n"
+        mpl multi.Tpcb.conflicts multi.Tpcb.deadlocks multi.Tpcb.restarts;
     Printf.printf
       "%s: %d txns in %.1f simulated seconds = %.2f TPS (max latency %.3fs, \
        cleaner stall %.1fs)\n"
@@ -454,14 +447,9 @@ let trace_cmd =
         (with_disks ~ndisks ~log_disk
            (Config.scaled ~factor:(float_of_int scale /. 10.0) Config.default))
     in
-    let r =
-      if mpl <= 1 then
-        Expcommon.run_tpcb ~trace:cap ~config
-          ~scale:(Tpcb.scale_for_tps scale) ~txns ~seed setup
-      else
-        fst
-          (Expcommon.run_tpcb_mpl ~trace:cap ~config
-             ~scale:(Tpcb.scale_for_tps scale) ~txns ~seed ~mpl setup)
+    let r, _ =
+      Expcommon.run_tpcb_mpl ~trace:cap ~config
+        ~scale:(Tpcb.scale_for_tps scale) ~txns ~seed ~mpl setup
     in
     match Stats.trace r.Expcommon.stats with
     | None -> prerr_endline "trace: no events captured"
@@ -1051,9 +1039,6 @@ let faultsim_cmd =
         ( Sweep.run_one ~ndisks ~log_disk ~log_streams,
           Sweep.sweep ~ndisks ~log_disk ~log_streams )
       | "pages", _ -> usage "--mpl applies to the tpcb workload only"
-      | "tpcb", 1 ->
-        ( Sweep.run_one_tpcb ~ndisks ~log_disk ~log_streams,
-          Sweep.sweep_tpcb ~ndisks ~log_disk ~log_streams )
       | "tpcb", _ ->
         let lock_grain = parse_grain grain in
         ( (fun backend ~seed ~txns ?crash_point () ->
@@ -1064,8 +1049,8 @@ let faultsim_cmd =
               ~lock_grain backend ~seed ~txns ~mpl ~points )
       | w, _ -> usage ("unknown workload " ^ w ^ " (pages, tpcb)")
     in
-    if parse_grain grain = `Record && (workload <> "tpcb" || mpl = 1) then
-      usage "--lock-grain record applies to the tpcb workload at --mpl > 1";
+    if parse_grain grain = `Record && workload <> "tpcb" then
+      usage "--lock-grain record applies to the tpcb workload only";
     match crash_point with
     | Some p ->
       let o = one backend ~seed ~txns ~crash_point:p () in

@@ -13,7 +13,6 @@ type t = {
   active_tbl : (int, txn) Hashtbl.t;
   mutable next_id : int;
   mutable pending_commits : (txn * Cache.frame list) list; (* group commit *)
-  mutable pending_deadline : float; (* flush time of the oldest pending *)
   (* Scheduler-mode state. [parked]: processes blocked in [lock], keyed
      by txn id, woken by the lock manager's waker. [flush_gen] /
      [commit_cond]: the group-commit rendezvous — committers park until
@@ -53,7 +52,6 @@ let create lfs =
       active_tbl = Hashtbl.create 16;
       next_id = 1;
       pending_commits = [];
-      pending_deadline = 0.0;
       parked = Hashtbl.create 8;
       flush_gen = 0;
       flushing = false;
@@ -87,12 +85,7 @@ let unprotect t path =
   let v = Lfs.vfs t.lfs in
   v.Vfs.set_protected path false
 
-(* Forward reference: group-commit flushing is defined with commit below,
-   but transaction begin must settle any deferred commits first. *)
-let settle_pending_ref = ref (fun _ -> ())
-
 let txn_begin t =
-  !settle_pending_ref t;
   syscall t;
   kmutex t;
   let id = t.next_id in
@@ -249,22 +242,6 @@ let flush_pending t =
             [ ("batch", Trace.I batch); ("frames", Trace.I (List.length frames)) ])
   end
 
-(* Committers deferred by group commit sleep until the timeout expires;
-   any later event past that point (a new transaction, an explicit
-   flush) implies the flush happened first. *)
-let settle_pending t =
-  (* Under a scheduler the batch is owned by the rendezvous (a timeout
-     process flushes it); the legacy fast-forward would flush early and
-     double-release. *)
-  if Option.is_none (Sched.of_clock t.clock) && t.pending_commits <> [] then begin
-    let wait = t.pending_deadline -. Clock.now t.clock in
-    if wait > 0.0 then Stats.observe t.stats "ktxn.group_commit_wait" wait;
-    Clock.sleep_until t.clock t.pending_deadline;
-    flush_pending t
-  end
-
-let () = settle_pending_ref := settle_pending
-
 let flush_commits t = if t.pending_commits <> [] then flush_pending t
 
 let txn_commit t txn =
@@ -276,8 +253,6 @@ let txn_commit t txn =
   txn.frames <- [];
   Stats.incr t.stats "ktxn.commits";
   let timeout = t.cfg.Config.fs.group_commit_timeout_s in
-  if was_empty then
-    t.pending_deadline <- Clock.now t.clock +. Float.max 0.0 timeout;
   if
     timeout <= 0.0
     || List.length t.pending_commits >= t.cfg.Config.fs.group_commit_size
@@ -303,9 +278,13 @@ let txn_commit t txn =
       Stats.add_time t.stats "ktxn.group_commit_wait" waited;
       Stats.observe t.stats "ktxn.group_commit_wait" waited
     | _ ->
-      (* At MPL 1 the committing process sleeps; the deferred batch is
-         settled by the next event (see [settle_pending]). *)
-      ()
+      (* Outside any process nobody can join the batch: wait out the
+         timeout (Section 4.4) and flush, so the commit is durable when
+         it returns — the same rule as [Logmgr.force_commit]. *)
+      Clock.advance t.clock timeout;
+      Stats.add_time t.stats "ktxn.group_commit_wait" timeout;
+      Stats.observe t.stats "ktxn.group_commit_wait" timeout;
+      flush_pending t
 
 let txn_abort t txn =
   check_live txn;

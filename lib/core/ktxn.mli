@@ -65,15 +65,15 @@ val txn_commit : t -> txn -> unit
     the log (one segment write), then release the lock chain. With a
     non-zero group-commit timeout the flush may be deferred: the
     committing process sleeps until [group_commit_size] commits have
-    accumulated or the timeout expires, and the next event past the
-    deadline (a new {!txn_begin}, or {!flush_commits}) performs the
-    shared flush. *)
+    accumulated or the timeout expires, and the shared flush happens
+    before it returns. A commit made outside any scheduler process has
+    nobody to share with: it waits out the timeout and flushes alone.
+    Either way the transaction is durable when [txn_commit] returns. *)
 
 val flush_commits : t -> unit
-(** Force any commits deferred by group commit to disk now. Call this
-    before unmounting or crashing deliberately: deferred commits are
-    exactly as durable as their flush, and the file system's own [sync]
-    does not know about them. *)
+(** Force any commits deferred by group commit to disk now, releasing
+    the committers parked at the rendezvous early. The file system's own
+    [sync] does not know about deferred commits. *)
 
 val txn_abort : t -> txn -> unit
 (** Invalidate the transaction's dirty buffers — the on-disk

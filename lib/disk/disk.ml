@@ -81,7 +81,7 @@ type t = {
   mutable busy_until : float;
       (* device occupancy horizon under the discrete-event scheduler:
          a request issued from a process waits until the arm is free.
-         Meaningless (always in the past) on the legacy paths. *)
+         Meaningless (always in the past) outside any process. *)
 }
 
 let create ?(prefix = "disk") clock stats (cfg : Config.disk) =

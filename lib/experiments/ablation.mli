@@ -7,9 +7,15 @@
       incrementally instead of locking files for a long batch, shrinking
       the worst-case transaction stall;
     - {b cleaning policy}: greedy vs cost-benefit victim selection under
-      the TPC-B hot-update workload;
+      the TPC-B hot-update workload — for the load-adaptive daemon's
+      idle clean-ahead, the only path the policy drives (on-demand
+      cleaning is always greedy), so this ablation runs the daemon;
     - {b group commit} (Section 4.4): commit-flush batching vs timeout at
-      multiprogramming level 1. *)
+      multiprogramming level 1.
+
+    Each row is a TPC-B run on the scheduler (one worker unless stated)
+    with {!Expcommon.on_demand_cleaner} applied to [config], like the
+    figures. *)
 
 type row = { label : string; tps : float; max_latency_s : float; note : string }
 

@@ -126,14 +126,9 @@ let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(utils = default_utils)
                 in
                 let cfg = { base with Config.fs } in
                 let prepare = prefill ~util_pct in
-                let run =
-                  if mpl <= 1 then
-                    Expcommon.run_tpcb ~prepare ~config:cfg ~scale ~txns ~seed
-                      Expcommon.Lfs_kernel
-                  else
-                    fst
-                      (Expcommon.run_tpcb_mpl ~prepare ~config:cfg ~scale ~txns
-                         ~seed ~mpl Expcommon.Lfs_kernel)
+                let run, _ =
+                  Expcommon.run_tpcb_mpl ~prepare ~config:cfg ~scale ~txns ~seed
+                    ~mpl Expcommon.Lfs_kernel
                 in
                 let stats = run.Expcommon.stats in
                 let moved = Stats.count stats "cleaner.blocks_moved" in

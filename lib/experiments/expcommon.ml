@@ -48,12 +48,21 @@ type tpcb_run = {
   stats : Stats.t;
 }
 
-(* [prepare] runs after the database is built but before the measured
-   window: experiments use it to shape the disk (e.g. prefill to a target
-   utilization for cleaner studies). It receives the machine, the data
-   file system's VFS, and the LFS handle when the setup has one. *)
-let run_tpcb ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns ~seed
-    setup =
+let on_demand_cleaner (c : Config.t) =
+  { c with Config.fs = { c.Config.fs with Config.cleaner_adaptive = false } }
+
+let run_window m ?lfs db backend ~rng ~txns ~mpl =
+  (* Everything before the window (format, build, prepare) ran outside
+     any process; only the measured transactions run on the scheduler. *)
+  let sched = Sched.create m.clock in
+  Fun.protect
+    ~finally:(fun () -> Sched.detach sched)
+    (fun () ->
+      (match lfs with Some fs -> Lfs.start_background fs | None -> ());
+      Tpcb.run_sched m.clock m.stats m.cfg db backend ~rng ~n:txns ~mpl)
+
+let run_tpcb_mpl ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns
+    ~seed ~mpl setup =
   (* Only the kernel-embedded setup leaves the log spindle (if any) free
      of a file system, so only there may the LFS checkpoint region use it. *)
   let m = machine ~route_checkpoints:(setup = Lfs_kernel) config in
@@ -61,27 +70,23 @@ let run_tpcb ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns ~seed
   | Some cap -> Stats.set_trace m.stats (Some (Trace.create ~capacity:cap ()))
   | None -> ());
   let rng = Rng.create ~seed in
+  let build v = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
+  let user v lfs =
+    ignore (build v);
+    (v, Tpcb.User (wal_env m v ~pool_pages), lfs)
+  in
   let vfs, backend, lfs =
     match setup with
     | Readopt_user ->
       let fs = Ffs.format (Diskset.primary m.disks) m.clock m.stats m.cfg in
-      let v = Ffs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      ignore db;
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, None)
+      user (Ffs.vfs fs) None
     | Lfs_user ->
       let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      ignore db;
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, Some fs)
+      user (Lfs.vfs fs) (Some fs)
     | Lfs_kernel ->
       let fs = Lfs.format m.disks m.clock m.stats m.cfg in
       let v = Lfs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      ignore db;
+      let db = build v in
       let k = Ktxn.create fs in
       Tpcb.protect_all db k;
       (v, Tpcb.Kernel k, Some fs)
@@ -91,58 +96,7 @@ let run_tpcb ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns ~seed
   (* Measure the transaction phase only, like the paper. Cleaner stall
      accounting is also restricted to the measured window. *)
   let stall0 = Stats.time m.stats "cleaner.stall" in
-  let result = Tpcb.run m.clock m.stats m.cfg db backend ~rng ~n:txns in
-  {
-    setup;
-    seed;
-    result;
-    cleaner_stall_s = Stats.time m.stats "cleaner.stall" -. stall0;
-    cleaner_max_stall_s = Stats.max_of m.stats "cleaner.max_stall";
-    stats = m.stats;
-  }
-
-let run_tpcb_mpl ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns
-    ~seed ~mpl setup =
-  let m = machine ~route_checkpoints:(setup = Lfs_kernel) config in
-  (match trace with
-  | Some cap -> Stats.set_trace m.stats (Some (Trace.create ~capacity:cap ()))
-  | None -> ());
-  (* Attach the discrete-event scheduler before any component boots, so
-     subsystems discover it via [Sched.of_clock] and take their blocking
-     paths once inside worker processes. Setup itself runs outside any
-     process and stays on the legacy paths. *)
-  let sched = Sched.create m.clock in
-  let rng = Rng.create ~seed in
-  let vfs, backend, lfs =
-    match setup with
-    | Readopt_user ->
-      let fs = Ffs.format (Diskset.primary m.disks) m.clock m.stats m.cfg in
-      let v = Ffs.vfs fs in
-      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, None)
-    | Lfs_user ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      ignore (Tpcb.build m.clock m.stats m.cfg v ~rng ~scale);
-      let env = wal_env m v ~pool_pages in
-      (v, Tpcb.User env, Some fs)
-    | Lfs_kernel ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-      let k = Ktxn.create fs in
-      Tpcb.protect_all db k;
-      (v, Tpcb.Kernel k, Some fs)
-  in
-  (match prepare with Some f -> f m vfs lfs | None -> ());
-  (match lfs with Some fs -> Lfs.start_background fs | None -> ());
-  let db = Tpcb.open_db vfs ~scale in
-  let stall0 = Stats.time m.stats "cleaner.stall" in
-  let multi =
-    Tpcb.run_sched m.clock m.stats m.cfg db backend ~rng ~n:txns ~mpl
-  in
-  Sched.detach sched;
+  let multi = run_window m ?lfs db backend ~rng ~txns ~mpl in
   ( {
       setup;
       seed;

@@ -1,7 +1,7 @@
 (** Shared machinery for the paper-reproduction experiments: booting
     machines, building TPC-B databases on either file system, running the
-    transaction phase under any of the three configurations, and small
-    statistics helpers. *)
+    transaction phase under any of the three configurations on the
+    discrete-event scheduler, and small statistics helpers. *)
 
 type machine = {
   cfg : Config.t;
@@ -35,23 +35,24 @@ type tpcb_run = {
   stats : Stats.t;  (** the machine's stats — counters, histograms, trace *)
 }
 
-val run_tpcb :
-  ?pool_pages:int ->
-  ?trace:int ->
-  ?prepare:(machine -> Vfs.t -> Lfs.t option -> unit) ->
-  config:Config.t ->
-  scale:Tpcb.scale ->
+val on_demand_cleaner : Config.t -> Config.t
+(** [cleaner_adaptive = false]: the LFS cleaner runs only when free
+    segments drop below low water (the paper's cleaner), never ahead of
+    need while the disk idles. Figures 4-7 pin this. *)
+
+val run_window :
+  machine ->
+  ?lfs:Lfs.t ->
+  Tpcb.db ->
+  Tpcb.backend ->
+  rng:Rng.t ->
   txns:int ->
-  seed:int ->
-  setup ->
-  tpcb_run
-(** Boot a fresh machine, build the database, run [txns] transactions,
-    and report throughput plus cleaner interference. [?trace] attaches an
-    event-trace ring of that capacity to the machine's stats before the
-    run; retrieve it via [Stats.trace run.stats]. [?prepare] runs after
-    the database is built but before the measured window — experiments
-    use it to shape the disk (e.g. prefill to a target utilization for
-    cleaner studies); it gets the LFS handle when the setup has one. *)
+  mpl:int ->
+  Tpcb.multi_result
+(** The measured window: attach a {!Sched} to the machine's clock, start
+    [lfs]'s syncer and cleaner as background processes, run [txns]
+    transactions with {!Tpcb.run_sched} at [mpl] workers, and detach.
+    Setup before the window runs outside any process. *)
 
 val run_tpcb_mpl :
   ?pool_pages:int ->
@@ -64,12 +65,16 @@ val run_tpcb_mpl :
   mpl:int ->
   setup ->
   tpcb_run * Tpcb.multi_result
-(** Like {!run_tpcb} but at multiprogramming level [mpl] on the
-    discrete-event scheduler: boots the machine with a {!Sched} attached
-    to its clock, starts the LFS syncer/cleaner as background processes,
-    and drives the workload with [Tpcb.run_sched]. The [tpcb_run] mirrors
-    {!run_tpcb}'s shape; the [multi_result] adds lock blocks, deadlocks
-    and restarts. *)
+(** Boot a fresh machine, build the database, and run [txns]
+    transactions at multiprogramming level [mpl] through {!run_window};
+    [mpl = 1] is the paper's single-user run. Reports throughput plus
+    cleaner interference; the [multi_result] adds lock blocks, deadlocks
+    and restarts. [?trace] attaches an event-trace ring of that capacity
+    to the machine's stats before the run; retrieve it via
+    [Stats.trace run.stats]. [?prepare] runs after the database is built
+    but before the measured window — experiments use it to shape the
+    disk (e.g. prefill to a target utilization for cleaner studies); it
+    gets the LFS handle when the setup has one. *)
 
 val mean : float list -> float
 val stdev : float list -> float

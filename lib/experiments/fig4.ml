@@ -20,16 +20,18 @@ let paper_value = function
 let run ?config ?(tps_scale = default_tps_scale) ?(txns = 20_000)
     ?(seeds = [ 1; 2; 3 ]) () =
   let config =
-    match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
+    Expcommon.on_demand_cleaner
+      (match config with
+      | Some c -> c
+      | None ->
+        Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default)
   in
   let scale = Tpcb.scale_for_tps tps_scale in
   let bar setup =
     let runs =
       List.map
-        (fun seed -> Expcommon.run_tpcb ~config ~scale ~txns ~seed setup)
+        (fun seed ->
+          fst (Expcommon.run_tpcb_mpl ~config ~scale ~txns ~seed ~mpl:1 setup))
         seeds
     in
     let tps = List.map (fun r -> r.Expcommon.result.Tpcb.tps) runs in

@@ -32,7 +32,10 @@ val run :
   t
 (** Defaults: TPC-B scaling for 4 TPS with all machine parameters scaled
     by the same factor (preserving the paper's cache ≪ database ≪ disk
-    ratios), 20 000 measured transactions, three seeds. *)
+    ratios), 20 000 measured transactions, three seeds. Each bar is a
+    single-user run (one worker on the scheduler) with the LFS cleaner
+    on demand only ({!Expcommon.on_demand_cleaner} is applied to
+    [config]); [t.config] records the configuration actually run. *)
 
 val to_json : t -> Json.t
 (** Machine-readable form: bars with per-seed runs, each carrying the

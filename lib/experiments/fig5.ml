@@ -16,41 +16,41 @@ let elapsed_of phases = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 phases
 let measure config bench =
   let m = Expcommon.machine config in
   let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-  let v = Lfs.vfs fs in
-  (bench m v, m.Expcommon.stats)
+  (bench m fs, m.Expcommon.stats)
 
-let andrew_bench m v =
+let andrew_bench m fs =
   let t0 = Clock.now m.Expcommon.clock in
   ignore
-    (Workloads.andrew m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-       (Rng.create ~seed:5) Workloads.default_andrew);
+    (Workloads.andrew m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg
+       (Lfs.vfs fs) (Rng.create ~seed:5) Workloads.default_andrew);
   Clock.now m.Expcommon.clock -. t0
 
-let bigfile_bench m v =
+let bigfile_bench m fs =
   elapsed_of
-    (Workloads.bigfile m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-       (Rng.create ~seed:5) Workloads.default_bigfile)
+    (Workloads.bigfile m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg
+       (Lfs.vfs fs) (Rng.create ~seed:5) Workloads.default_bigfile)
 
-let user_tp_bench tps_scale txns m v =
+let user_tp_bench tps_scale txns m fs =
   let scale = Tpcb.scale_for_tps tps_scale in
   let rng = Rng.create ~seed:5 in
+  let v = Lfs.vfs fs in
   let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
   let env =
     Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
       ~pool_pages:1024 ~log_path:"/tpcb/log" ()
   in
   let r =
-    Tpcb.run m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg db
-      (Tpcb.User env) ~rng ~n:txns
+    Expcommon.run_window m ~lfs:fs db (Tpcb.User env) ~rng ~txns ~mpl:1
   in
-  r.Tpcb.elapsed_s
+  r.Tpcb.base.Tpcb.elapsed_s
 
 let run ?config ?(tps_scale = 2) () =
   let config =
-    match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
+    Expcommon.on_demand_cleaner
+      (match config with
+      | Some c -> c
+      | None ->
+        Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default)
   in
   let with_kernel ktxn =
     { config with Config.fs = { config.Config.fs with kernel_txn = ktxn } }

@@ -19,5 +19,9 @@ type row = {
 type t = { rows : row list; config : Config.t }
 
 val run : ?config:Config.t -> ?tps_scale:int -> unit -> t
+(** USER-TP is a single-user TPC-B run (one worker on the scheduler).
+    {!Expcommon.on_demand_cleaner} is applied to [config]; [t.config]
+    records the configuration actually run. *)
+
 val to_json : t -> Json.t
 val print : t -> unit

@@ -10,33 +10,31 @@ type t = { readopt : side; lfs : side; txns : int; config : Config.t }
 
 let run ?config ?(tps_scale = 4) ?(txns = 20_000) ?(seed = 1) () =
   let config =
-    match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
+    Expcommon.on_demand_cleaner
+      (match config with
+      | Some c -> c
+      | None ->
+        Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default)
   in
   let scale = Tpcb.scale_for_tps tps_scale in
   let one which =
     let m = Expcommon.machine config in
     let rng = Rng.create ~seed in
-    let v, contiguity =
+    let v, lfs, contiguity =
       match which with
       | `Readopt ->
         let fs = Ffs.format (Diskset.primary m.Expcommon.disks) m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-        (Ffs.vfs fs, fun () -> Some (Ffs.contiguity fs "/tpcb/account"))
+        (Ffs.vfs fs, None, fun () -> Some (Ffs.contiguity fs "/tpcb/account"))
       | `Lfs ->
         let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-        (Lfs.vfs fs, fun () -> None)
+        (Lfs.vfs fs, Some fs, fun () -> None)
     in
     let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
     let env =
       Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
         ~pool_pages:1024 ~log_path:"/tpcb/log" ()
     in
-    let r =
-      Tpcb.run m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg db
-        (Tpcb.User env) ~rng ~n:txns
-    in
+    let r = Expcommon.run_window m ?lfs db (Tpcb.User env) ~rng ~txns ~mpl:1 in
     (* Flush everything so the scan measures the on-disk layout, not the
        caches' leftovers. *)
     Libtp.checkpoint env;
@@ -46,7 +44,7 @@ let run ?config ?(tps_scale = 4) ?(txns = 20_000) ?(seed = 1) () =
     in
     {
       fs_name = v.Vfs.name;
-      tps = r.Tpcb.tps;
+      tps = r.Tpcb.base.Tpcb.tps;
       scan_s;
       contiguity = contiguity ();
       stats = m.Expcommon.stats;

@@ -25,7 +25,9 @@ type t = {
 
 val run :
   ?config:Config.t -> ?tps_scale:int -> ?txns:int -> ?seed:int -> unit -> t
-(** Defaults: TPC-B scale 4, 20 000 transactions before the scan. *)
+(** Defaults: TPC-B scale 4, 20 000 transactions before the scan. The
+    transactions are a single-user run (one worker on the scheduler);
+    {!Expcommon.on_demand_cleaner} is applied to [config]. *)
 
 val to_json : t -> Json.t
 val print : t -> unit

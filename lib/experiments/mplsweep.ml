@@ -20,9 +20,6 @@ type point = {
 
 type t = {
   points : point list;
-  legacy_mpl1 : (int * float * float) list;
-      (* (group_size, group_timeout_s, tps) of the pre-refactor MPL-1
-         driver under the same config — the epsilon reference. *)
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;
@@ -137,17 +134,7 @@ let run ?config ?(tps_scale = 2) ?(txns = 2_000) ?(seed = 1)
           groups)
       grains
   in
-  (* Same configurations through the legacy MPL-1 driver: the scheduler
-     at MPL 1 must land within a small epsilon of these. *)
-  let legacy_mpl1 =
-    List.map
-      (fun (gsize, gtimeout) ->
-        let cfg = with_group base (gsize, gtimeout) in
-        let r = Expcommon.run_tpcb ~config:cfg ~scale ~txns ~seed setup in
-        (gsize, gtimeout, r.Expcommon.result.Tpcb.tps))
-      groups
-  in
-  { points; legacy_mpl1; scale; txns; config = base; setup }
+  { points; scale; txns; config = base; setup }
 
 let point_json p =
   Json.Obj
@@ -185,17 +172,6 @@ let to_json t =
           ] );
       ("txns", Json.Int t.txns);
       ("points", Json.List (List.map point_json t.points));
-      ( "legacy_mpl1",
-        Json.List
-          (List.map
-             (fun (gsize, gtimeout, tps) ->
-               Json.Obj
-                 [
-                   ("group_size", Json.Int gsize);
-                   ("group_timeout_s", Json.Float gtimeout);
-                   ("tps", Json.Float tps);
-                 ])
-             t.legacy_mpl1) );
     ]
 
 let print t =
@@ -216,12 +192,6 @@ let print t =
         p.run.Expcommon.result.Tpcb.tps p.mean_batch p.group_flushes
         p.multi.Tpcb.conflicts p.multi.Tpcb.deadlocks p.group_commit_wait_s)
     t.points;
-  Printf.printf "\nlegacy MPL-1 driver (epsilon reference):\n";
-  List.iter
-    (fun (gsize, gtimeout, tps) ->
-      Printf.printf "  gsize %d timeout %.1fms: %.2f TPS\n" gsize
-        (1000.0 *. gtimeout) tps)
-    t.legacy_mpl1;
   (* Headline: does group commit do real work once MPL > 1, and does
      record granularity beat page granularity under contention? *)
   let find grain mpl gsize =

@@ -8,8 +8,7 @@
     ([`Page] vs [`Record], see {!Lockmgr}) and reports, per point:
     throughput, the mean commit batch size actually achieved,
     flush/force counts, lock blocks, deadlocks, rendezvous wait time and
-    the p99 lock wait. A legacy MPL-1 run per group configuration is
-    included as the epsilon reference for the refactor's safety net. *)
+    the p99 lock wait. *)
 
 type point = {
   mpl : int;
@@ -26,7 +25,6 @@ type point = {
 
 type t = {
   points : point list;
-  legacy_mpl1 : (int * float * float) list;
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;

@@ -377,119 +377,18 @@ let run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point () =
    system's structural checker. *)
 let tpcb_scale = { Tpcb.accounts = 200; tellers = 10; branches = 2 }
 
-let run_one_tpcb ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point
-    () =
-  let cfg = config ?ndisks ?log_disk ?log_streams backend in
-  let clock = Clock.create () in
-  let stats = Stats.create () in
-  let disks = sweep_disks backend clock stats cfg in
-  let rng = Rng.create ~seed in
-  let scale = tpcb_scale in
-  let homes = make_log_homes backend clock stats cfg disks in
-  let open_env v =
-    Libtp.open_env clock stats cfg v ?log_vfss:(log_home_vfss homes)
-      ~pool_pages:64 ~checkpoint_every:50
-      ~log_path:(if Array.length homes = 0 then "/tpcb.log" else "/log")
-      ()
-  in
-  let recover_log () =
-    crash_log_homes homes;
-    remount_log_homes clock stats cfg homes
-  in
-  let bh, db, recover =
-    match backend with
-    | Lfs_kernel ->
-      let fs = Lfs.format disks clock stats cfg in
-      let db = Tpcb.build clock stats cfg (Lfs.vfs fs) ~rng ~scale in
-      let kt = Ktxn.create fs in
-      Tpcb.protect_all db kt;
-      ( Tpcb.Kernel kt,
-        db,
-        fun () ->
-          Lfs.crash fs;
-          let fs' = Lfs.mount disks clock stats cfg in
-          (Lfs.vfs fs', fun () -> Lfs.check fs') )
-    | Lfs_user ->
-      let fs = Lfs.format disks clock stats cfg in
-      let v = Lfs.vfs fs in
-      let db = Tpcb.build clock stats cfg v ~rng ~scale in
-      let env = open_env v in
-      ( Tpcb.User env,
-        db,
-        fun () ->
-          Lfs.crash fs;
-          recover_log ();
-          let fs' = Lfs.mount disks clock stats cfg in
-          let v' = Lfs.vfs fs' in
-          ignore (open_env v');
-          (v', fun () -> Lfs.check fs') )
-    | Ffs_user ->
-      let fs = Ffs.format (Diskset.primary disks) clock stats cfg in
-      let v = Ffs.vfs fs in
-      let db = Tpcb.build clock stats cfg v ~rng ~scale in
-      let env = open_env v in
-      ( Tpcb.User env,
-        db,
-        fun () ->
-          Ffs.crash fs;
-          recover_log ();
-          let fs' = Ffs.mount (Diskset.primary disks) clock stats cfg in
-          fsck_or_fail "fsck" fs';
-          let v' = Ffs.vfs fs' in
-          ignore (open_env v');
-          (v', fun () -> ()) )
-  in
-  let arm =
-    Faultsim.arm ?crash_after:crash_point ~read_error_rate:0.02
-      ~rng:(Rng.split rng) disks
-  in
-  let acked = ref 0 in
-  let crashed, workload_err =
-    try
-      for _ = 1 to txns do
-        ignore (Tpcb.run clock stats cfg db bh ~rng ~n:1);
-        incr acked
-      done;
-      (false, None)
-    with
-    | Disk.Injected_crash -> (true, None)
-    | e -> (false, Some (Printexc.to_string e))
-  in
-  let writes = Faultsim.writes arm in
-  Faultsim.disarm arm;
-  let violations =
-    ref (match workload_err with Some m -> [ "workload: " ^ m ] | None -> [])
-  in
-  let push m = violations := m :: !violations in
-  (try
-     let v, structural = recover () in
-     (try structural ()
-      with e -> push ("structural check: " ^ Printexc.to_string e));
-     let db' = Tpcb.open_db v ~scale in
-     (try Tpcb.check_consistency clock stats cfg db' v
-      with e -> push ("tpcb consistency: " ^ Printexc.to_string e));
-     let h = Tpcb.history_count clock stats cfg db' v in
-     (* Every acknowledged commit is durable; at most the one in-flight
-        transaction may have landed beyond them. *)
-     if h < !acked || h > !acked + 1 then
-       push
-         (Printf.sprintf "history count %d outside [%d, %d]" h !acked
-            (!acked + 1))
-   with e -> push ("recovery failed: " ^ Printexc.to_string e));
-  { backend; seed; crash_point; writes; crashed; violations = List.rev !violations }
-
-(* TPC-B at MPL > 1: the same oracle under real concurrency. Worker
-   processes on the discrete-event scheduler park at the group-commit
-   rendezvous, so a crash point can land mid-batch — some committers
-   flushed but not yet resumed, others parked with nothing durable.
-   Acknowledgement is [txn_commit] returning (a parked committer wakes
-   only after its batch's force), so every acknowledged commit must
-   survive recovery; beyond them at most [mpl] in-flight transactions
-   may have landed. *)
+(* Worker processes on the discrete-event scheduler; at MPL > 1 they
+   park at the group-commit rendezvous, so a crash point can land
+   mid-batch — some committers flushed but not yet resumed, others
+   parked with nothing durable. Acknowledgement is [txn_commit]
+   returning (a parked committer wakes only after its batch's force), so
+   every acknowledged commit must survive recovery; beyond them at most
+   [mpl] in-flight transactions may have landed. *)
 let run_one_tpcb_mpl ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks
     backend ~seed ~txns ~mpl ?crash_point () =
   let cfg = config ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks backend in
-  (* Group commit on — the rendezvous is the point of this sweep. *)
+  (* Group commit on — the rendezvous is the point of the MPL > 1 sweeps.
+     A batch of [mpl] fills at once at MPL 1, so every commit forces. *)
   let cfg =
     {
       cfg with
@@ -582,7 +481,7 @@ let run_one_tpcb_mpl ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks
   let acked = Stats.count stats "tpcb.commits" in
   let writes = Faultsim.writes arm in
   Faultsim.disarm arm;
-  (* Recovery must run on the legacy (non-scheduler) paths. *)
+  (* Recovery runs outside any process, as at boot. *)
   Sched.detach sched;
   let violations =
     ref (match workload_err with Some m -> [ "workload: " ^ m ] | None -> [])
@@ -640,14 +539,6 @@ let sweep ?progress ?ndisks ?log_disk ?log_streams backend ~seed ~txns ~points =
   sweep_runs ?progress
     (fun ?crash_point () ->
       run_one ?ndisks ?log_disk ?log_streams backend ~seed ~txns ?crash_point ())
-    ~points
-
-let sweep_tpcb ?progress ?ndisks ?log_disk ?log_streams backend ~seed ~txns
-    ~points =
-  sweep_runs ?progress
-    (fun ?crash_point () ->
-      run_one_tpcb ?ndisks ?log_disk ?log_streams backend ~seed ~txns
-        ?crash_point ())
     ~points
 
 let sweep_tpcb_mpl ?progress ?ndisks ?log_disk ?log_streams ?lock_grain

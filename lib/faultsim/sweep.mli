@@ -49,20 +49,6 @@ val run_one :
     [log_streams] (default 1) runs that many parallel WAL streams —
     with [log_disk], one spindle each. *)
 
-val run_one_tpcb :
-  ?ndisks:int ->
-  ?log_disk:bool ->
-  ?log_streams:int ->
-  backend ->
-  seed:int ->
-  txns:int ->
-  ?crash_point:int ->
-  unit ->
-  outcome
-(** Same, driving [txns] TPC-B transactions on a small database; after
-    recovery the balance-consistency identity must hold and the history
-    count must lie in [acked, acked+1]. *)
-
 val run_one_tpcb_mpl :
   ?ndisks:int ->
   ?log_disk:bool ->
@@ -76,11 +62,14 @@ val run_one_tpcb_mpl :
   ?crash_point:int ->
   unit ->
   outcome
-(** TPC-B at multiprogramming level [mpl] on the discrete-event
-    scheduler with group commit enabled (size [mpl], 20 ms timeout), so
-    crash points land mid-rendezvous. An acknowledged commit is one
-    whose [txn_commit] returned — a parked committer wakes only after
-    its batch's force — so after recovery the history count must lie in
+(** Drive [txns] TPC-B transactions on a small database at
+    multiprogramming level [mpl] on the discrete-event scheduler, with
+    group commit enabled (size [mpl], 20 ms timeout) so crash points
+    land mid-rendezvous; crash after [crash_point] block writes (never,
+    if omitted), recover, and check that the balance-consistency
+    identity holds. An acknowledged commit is one whose [txn_commit]
+    returned — a parked committer wakes only after its batch's force —
+    so after recovery the history count must lie in
     [acked, acked + mpl]. [lock_grain] (default [`Page]) selects the
     locking granularity; at [`Record] aborted history appends leave
     zeroed holes, which the oracle's hole-tolerant count skips. *)
@@ -99,13 +88,6 @@ val sweep :
   backend -> seed:int -> txns:int -> points:int -> sweep_result
 (** Sweep the page workload. [points <= 0] (or >= the write count) runs
     every crash point; otherwise [points] evenly spaced ones. *)
-
-val sweep_tpcb :
-  ?progress:(outcome -> unit) ->
-  ?ndisks:int ->
-  ?log_disk:bool ->
-  ?log_streams:int ->
-  backend -> seed:int -> txns:int -> points:int -> sweep_result
 
 val sweep_tpcb_mpl :
   ?progress:(outcome -> unit) ->

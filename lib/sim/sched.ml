@@ -199,8 +199,8 @@ let create clock =
   in
   registry := (clock, t) :: List.filter (fun (c, _) -> c != clock) !registry;
   (* Route Clock.sleep_until through the scheduler — but only for calls
-     made from inside a process; standalone callers (setup code, legacy
-     paths) keep the original jump-forward semantics. *)
+     made from inside a process; callers outside any process (setup,
+     recovery) keep the jump-forward semantics. *)
   Clock.set_sleeper clock
     (Some
        (fun deadline ->

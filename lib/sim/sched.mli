@@ -20,8 +20,9 @@
     {!create} time and is discoverable from it via {!of_clock}, which is
     how subsystems deep in the stack (disk, log manager, lock manager)
     opt into blocking behavior without widening their constructors. With
-    no scheduler attached — or when called from outside any process —
-    every legacy code path behaves exactly as before the refactor. *)
+    no scheduler attached — or when called from outside any process, as
+    setup and recovery are — every component takes its direct path and
+    the clock simply jumps. *)
 
 type t
 

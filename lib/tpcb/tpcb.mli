@@ -8,8 +8,10 @@
     withdraws a random amount from a random account, updating the
     account, its teller and its branch, and appends a history record.
 
-    As in the paper: a single log (for the user-level system), a single
-    centralized machine, and a single user (multiprogramming level 1). *)
+    As in the paper: a single log (for the user-level system) and a
+    single centralized machine. The paper measures a single user
+    (multiprogramming level 1); {!run_sched} runs any number of users,
+    and one worker is the paper's configuration. *)
 
 type scale = { accounts : int; tellers : int; branches : int }
 
@@ -44,12 +46,6 @@ type result = {
   latencies_s : float array;  (** per-transaction latencies, in order *)
 }
 
-val run :
-  Clock.t -> Stats.t -> Config.t -> db -> backend -> rng:Rng.t -> n:int -> result
-(** Execute [n] transactions and report simulated-time throughput.
-    @raise Failure if a transaction cannot complete (the single-user
-    configuration never conflicts). *)
-
 val account_balance : Clock.t -> Stats.t -> Config.t -> db -> Vfs.t -> int -> int
 (** Read one account's balance non-transactionally (for tests). *)
 
@@ -63,15 +59,14 @@ val history_count : Clock.t -> Stats.t -> Config.t -> db -> Vfs.t -> int
 val account_fd : db -> Vfs.fd
 (** File handle of the account relation (used by the SCAN workload). *)
 
-(** {1 Multi-user runs}
+(** {1 Running the benchmark}
 
     The paper measures single-user (multiprogramming level 1) and notes
     that the configuration "is so disk-bound that increasing the
-    multi-programming level increases throughput only marginally". This
-    driver runs [mpl] interleaved transactions as cooperative processes:
-    a lock conflict deschedules the process until the holder resolves, a
-    deadlock aborts and restarts the requester. It exercises the lock
-    managers under genuine contention. *)
+    multi-programming level increases throughput only marginally". The
+    driver runs [mpl] concurrent transaction processes; a lock conflict
+    parks the process until the holder resolves, a deadlock aborts and
+    restarts the victim. *)
 
 type multi_result = {
   base : result;
@@ -79,22 +74,6 @@ type multi_result = {
   deadlocks : int;  (** transactions aborted by deadlock detection *)
   restarts : int;  (** transaction restarts (deadlock victims retried) *)
 }
-
-val run_multi :
-  Clock.t ->
-  Stats.t ->
-  Config.t ->
-  db ->
-  backend ->
-  rng:Rng.t ->
-  n:int ->
-  mpl:int ->
-  multi_result
-(** Run until [n] transactions have committed, [mpl] at a time.
-    Legacy round-robin interleaving: steps run back-to-back on the
-    shared clock and a blocked process is simply skipped — no simulated
-    time passes while it waits. Superseded by {!run_sched} for timing
-    studies; kept for lock-manager contention tests. *)
 
 val run_sched :
   Clock.t ->
@@ -106,11 +85,12 @@ val run_sched :
   n:int ->
   mpl:int ->
   multi_result
-(** True multi-user run on the discrete-event scheduler attached to
-    [clock] (see {!Sched}): [mpl] worker processes claim transactions
-    from a shared counter, and every blocking point — lock waits,
-    disk-queue reads, the group-commit rendezvous — parks the worker so
-    others overlap with it. Latencies span begin to durable commit,
+(** Run until [n] transactions have committed, on the discrete-event
+    scheduler attached to [clock] (see {!Sched}): [mpl] worker processes
+    claim transactions from a shared counter, and every blocking point —
+    lock waits, disk-queue reads, the group-commit rendezvous — parks
+    the worker so others overlap with it. [mpl = 1] is the paper's
+    single-user run. Latencies span begin to durable commit,
     including rendezvous waits. [conflicts] counts real lock blocks.
 
     All workers share the one history file. At page grain its tail page

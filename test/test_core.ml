@@ -149,16 +149,22 @@ let test_group_commit_batches () =
   let inum = setup_file sys "/db" in
   let k = sys.Core.ktxn in
   let partials_before = Stats.count sys.Core.stats "lfs.partials" in
-  (* Two overlapping transactions on different pages: the second commit
-     reaches the group size and both flush in one segment write. *)
-  let t1 = Ktxn.txn_begin k in
-  let t2 = Ktxn.txn_begin k in
-  Ktxn.write_page k t1 ~inum ~page:0 (page sys '1');
-  Ktxn.write_page k t2 ~inum ~page:1 (page sys '2');
-  Ktxn.txn_commit k t1;
-  Alcotest.(check int) "first commit deferred" partials_before
-    (Stats.count sys.Core.stats "lfs.partials");
-  Ktxn.txn_commit k t2;
+  let sched = Sched.create sys.Core.clock in
+  (* Two processes on different pages: the first commit parks at the
+     rendezvous, the second reaches the group size and both flush in one
+     segment write. *)
+  let deferred = ref (-1) in
+  let proc i byte () =
+    let t = Ktxn.txn_begin k in
+    Ktxn.write_page k t ~inum ~page:i (page sys byte);
+    if i = 1 then deferred := Stats.count sys.Core.stats "lfs.partials";
+    Ktxn.txn_commit k t
+  in
+  Sched.spawn sched (proc 0 '1');
+  Sched.spawn sched (proc 1 '2');
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check int) "first commit deferred" partials_before !deferred;
   Alcotest.(check int) "one shared flush" (partials_before + 1)
     (Stats.count sys.Core.stats "lfs.partials");
   Alcotest.(check int) "both committed" 2 (Stats.count sys.Core.stats "ktxn.commits");
@@ -186,7 +192,10 @@ let test_syncer_skips_txn_buffers () =
     (Bytes.get (Ktxn.read_page sys2.Core.ktxn t ~inum:inum2 ~page:0) 0);
   Ktxn.txn_commit sys2.Core.ktxn t
 
-let test_group_commit_timeout_settles_at_next_begin () =
+(* A commit made outside any scheduler process has nobody to batch
+   with: it waits out the group-commit timeout and flushes before it
+   returns, so a crash right after [txn_commit] must not lose it. *)
+let test_group_commit_durable_on_return () =
   let cfg = Tutil.small_config () in
   let cfg =
     {
@@ -202,16 +211,14 @@ let test_group_commit_timeout_settles_at_next_begin () =
   Ktxn.write_page k t1 ~inum ~page:0 (page sys 'T');
   let before = Clock.now sys.Core.clock in
   Ktxn.txn_commit k t1;
-  (* The commit itself deferred the flush... *)
-  Alcotest.(check bool) "commit returned promptly" true
-    (Clock.now sys.Core.clock -. before < 0.05);
-  (* ...and the next transaction begin sleeps to the deadline and flushes. *)
-  let t2 = Ktxn.txn_begin k in
-  Alcotest.(check bool) "deadline honoured" true
-    (Clock.now sys.Core.clock -. before >= 0.05);
-  Alcotest.(check char) "flushed data visible" 'T'
-    (Bytes.get (Ktxn.read_page k t2 ~inum ~page:0) 0);
-  Ktxn.txn_commit k t2
+  let waited = Clock.now sys.Core.clock -. before in
+  let sys = Core.reboot sys in
+  let inum = Lfs.inum_of sys.Core.lfs "/db" in
+  let t = Ktxn.txn_begin sys.Core.ktxn in
+  Alcotest.(check char) "durable when txn_commit returned" 'T'
+    (Bytes.get (Ktxn.read_page sys.Core.ktxn t ~inum ~page:0) 0);
+  Ktxn.txn_commit sys.Core.ktxn t;
+  Alcotest.(check bool) "commit waited out the timeout" true (waited >= 0.05)
 
 let test_explicit_flush_commits () =
   let cfg = Tutil.small_config () in
@@ -313,8 +320,8 @@ let test_sched_group_commit_rendezvous () =
   | None -> Alcotest.fail "no batch histogram");
   Alcotest.(check bool) "filled batch beat the timeout" true
     (Clock.now sys.Core.clock -. t0 < 10.0);
-  (* The same work at MPL 1 (legacy path, no scheduler) forces a flush
-     per commit and waits out each timeout. *)
+  (* The same work outside any process forces a flush per commit and
+     waits out each timeout. *)
   let sys' = Core.boot ~config:cfg () in
   let inum' = setup_file sys' "/db" in
   let k' = sys'.Core.ktxn in
@@ -454,8 +461,8 @@ let () =
           Alcotest.test_case "group commit" `Quick test_group_commit_batches;
           Alcotest.test_case "syncer skips txn buffers" `Quick
             test_syncer_skips_txn_buffers;
-          Alcotest.test_case "group commit settle" `Quick
-            test_group_commit_timeout_settles_at_next_begin;
+          Alcotest.test_case "group commit durable on return" `Quick
+            test_group_commit_durable_on_return;
           Alcotest.test_case "explicit flush" `Quick test_explicit_flush_commits;
           Alcotest.test_case "protect/unprotect" `Quick test_protect_unprotect_toggle;
           Alcotest.test_case "finished txn rejected" `Quick test_finished_txn_rejected;

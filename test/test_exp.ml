@@ -209,7 +209,25 @@ let test_cleanersweep_shape () =
     (List.exists
        (fun p ->
          p.Cleanersweep.util_pct = 80 && p.Cleanersweep.segments_cleaned > 0)
-       s.Cleanersweep.points)
+       s.Cleanersweep.points);
+  (* Every point, MPL 1 included, runs the background daemon, which
+     cleans ahead with the arm's victim policy — the only path the
+     policy drives (on-demand cleaning is always greedy). *)
+  match
+    List.find_opt
+      (fun p ->
+        p.Cleanersweep.arm.Cleanersweep.policy = `Cost_benefit
+        && p.Cleanersweep.util_pct = 80
+        && p.Cleanersweep.mpl = 1)
+      s.Cleanersweep.points
+  with
+  | Some p ->
+    Alcotest.(check bool)
+      (Printf.sprintf "cost-benefit idle-cleans at MPL 1 (%d)"
+         p.Cleanersweep.idle_cleans)
+      true
+      (p.Cleanersweep.idle_cleans > 0)
+  | None -> Alcotest.fail "missing cost-benefit MPL-1 point at 80%"
 
 let test_stats_helpers () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Expcommon.mean [ 1.0; 2.0; 3.0 ]);

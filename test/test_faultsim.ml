@@ -83,28 +83,44 @@ let sweep_pages backend () =
 
 let sweep_tpcb_kernel () =
   if full then begin
-    let r = Sweep.sweep_tpcb Sweep.Lfs_kernel ~seed:1 ~txns:40 ~points:0 in
+    let r =
+      Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:1 ~txns:40 ~mpl:1 ~points:0
+    in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
       (r.Sweep.total_writes >= 200);
     assert_clean r
   end
-  else assert_clean (Sweep.sweep_tpcb Sweep.Lfs_kernel ~seed:1 ~txns:5 ~points:8)
+  else
+    assert_clean
+      (Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:1 ~txns:5 ~mpl:1 ~points:8)
 
 let sweep_tpcb_ffs () =
   if full then begin
-    let r = Sweep.sweep_tpcb Sweep.Ffs_user ~seed:1 ~txns:100 ~points:0 in
+    let r =
+      Sweep.sweep_tpcb_mpl Sweep.Ffs_user ~seed:1 ~txns:100 ~mpl:1 ~points:0
+    in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
       (r.Sweep.total_writes >= 200);
     assert_clean r
   end
-  else assert_clean (Sweep.sweep_tpcb Sweep.Ffs_user ~seed:1 ~txns:6 ~points:8)
+  else
+    assert_clean
+      (Sweep.sweep_tpcb_mpl Sweep.Ffs_user ~seed:1 ~txns:6 ~mpl:1 ~points:8)
 
 let sweep_tpcb_lfs_user () =
-  assert_clean (Sweep.sweep_tpcb Sweep.Lfs_user ~seed:2 ~txns:5 ~points:8)
+  assert_clean
+    (Sweep.sweep_tpcb_mpl Sweep.Lfs_user ~seed:2 ~txns:5 ~mpl:1 ~points:8)
+
+(* Record-grain locking needs no second process: a single worker takes
+   the record locks and their intention-mode parents on every access. *)
+let sweep_tpcb_lfs_user_record_grain () =
+  assert_clean
+    (Sweep.sweep_tpcb_mpl ~lock_grain:`Record Sweep.Lfs_user ~seed:2 ~txns:5
+       ~mpl:1 ~points:8)
 
 (* MPL 2 on the discrete-event scheduler with group commit enabled:
    crash points land mid-rendezvous, with one committer possibly
@@ -230,5 +246,7 @@ let () =
             `Slow sweep_tpcb_cleaning_pressure;
           Alcotest.test_case "broken recovery is caught" `Slow
             test_broken_recovery_is_caught;
+          Alcotest.test_case "tpcb / lfs-user, record grain" `Slow
+            sweep_tpcb_lfs_user_record_grain;
         ] );
     ]

@@ -26,16 +26,27 @@ let build_ffs () =
   let db = Tpcb.build m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~rng ~scale:small_scale in
   (m, fs, v, db)
 
+(* Run [n] transactions with [mpl] workers on a scheduler attached for
+   the run; setup and inspection stay outside any process. *)
+let run_sched ?(mpl = 1) (m : Tutil.machine) db backend ~rng ~n =
+  let sched = Sched.create m.Tutil.clock in
+  let r =
+    Tpcb.run_sched m.Tutil.clock m.Tutil.stats m.Tutil.cfg db backend ~rng ~n
+      ~mpl
+  in
+  Sched.detach sched;
+  r
+
 let run_user (m : Tutil.machine) v db n =
   let env =
     Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:256
       ~log_path:"/tpcb/log" ()
   in
   let rng = Rng.create ~seed:7 in
-  let r = Tpcb.run m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.User env) ~rng ~n in
+  let r = run_sched m db (Tpcb.User env) ~rng ~n in
   (* Flush the user-level pool so plain-pager inspection sees the data. *)
   Libtp.checkpoint env;
-  r
+  r.Tpcb.base
 
 let test_scaling_rules () =
   let s = Tpcb.scale_for_tps 10 in
@@ -63,8 +74,8 @@ let test_kernel_on_lfs () =
   let k = Ktxn.create fs in
   Tpcb.protect_all db k;
   let rng = Rng.create ~seed:7 in
-  let r = Tpcb.run m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k) ~rng ~n:150 in
-  Alcotest.(check int) "all committed" 150 r.Tpcb.txns;
+  let r = run_sched m db (Tpcb.Kernel k) ~rng ~n:150 in
+  Alcotest.(check int) "all committed" 150 r.Tpcb.base.Tpcb.txns;
   Tpcb.check_consistency m.Tutil.clock m.Tutil.stats m.Tutil.cfg db v
 
 let test_kernel_crash_consistency () =
@@ -72,7 +83,7 @@ let test_kernel_crash_consistency () =
   let k = Ktxn.create fs in
   Tpcb.protect_all db k;
   let rng = Rng.create ~seed:7 in
-  ignore (Tpcb.run m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k) ~rng ~n:80);
+  ignore (run_sched m db (Tpcb.Kernel k) ~rng ~n:80);
   (* Crash mid-transaction. *)
   let txn = Ktxn.txn_begin k in
   let inum = Tpcb.account_fd db in
@@ -129,7 +140,7 @@ let test_user_and_kernel_produce_identical_state () =
     let k = Ktxn.create fs in
     Tpcb.protect_all db k;
     let rng = Rng.create ~seed:23 in
-    ignore (Tpcb.run m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k) ~rng ~n:120);
+    ignore (run_sched m db (Tpcb.Kernel k) ~rng ~n:120);
     dump_balances m v db
   in
   let run_user () =
@@ -139,7 +150,7 @@ let test_user_and_kernel_produce_identical_state () =
         ~log_path:"/tpcb/log" ()
     in
     let rng = Rng.create ~seed:23 in
-    ignore (Tpcb.run m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.User env) ~rng ~n:120);
+    ignore (run_sched m db (Tpcb.User env) ~rng ~n:120);
     Libtp.checkpoint env;
     dump_balances m v db
   in
@@ -156,18 +167,16 @@ let test_multi_user_lfs_kernel () =
   let k = Ktxn.create fs in
   Tpcb.protect_all db k;
   let rng = Rng.create ~seed:11 in
-  let r =
-    Tpcb.run_multi m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k)
-      ~rng ~n:200 ~mpl:4
-  in
+  let r = run_sched ~mpl:4 m db (Tpcb.Kernel k) ~rng ~n:200 in
   Alcotest.(check int) "all committed" 200 r.Tpcb.base.Tpcb.txns;
   Tpcb.check_consistency m.Tutil.clock m.Tutil.stats m.Tutil.cfg db v;
   Alcotest.(check int) "history matches commits" 200
     (Tpcb.history_count m.Tutil.clock m.Tutil.stats m.Tutil.cfg db v)
 
 let test_multi_user_contention () =
-  (* A tiny database forces conflicts and deadlocks; the run must still
-     complete with a consistent outcome. *)
+  (* A tiny database forces conflicts and deadlocks: six processes park
+     on each other's locks. The run must still complete with a
+     consistent outcome. *)
   let tiny = { Tpcb.accounts = 8; tellers = 4; branches = 2 } in
   let m = Tutil.machine ~cfg:(test_cfg ()) () in
   let fs = Lfs.format m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
@@ -178,10 +187,7 @@ let test_multi_user_contention () =
     Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:64
       ~log_path:"/tpcb/log" ()
   in
-  let r =
-    Tpcb.run_multi m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.User env)
-      ~rng ~n:300 ~mpl:6
-  in
+  let r = run_sched ~mpl:6 m db (Tpcb.User env) ~rng ~n:300 in
   Alcotest.(check int) "all committed" 300 r.Tpcb.base.Tpcb.txns;
   Alcotest.(check bool) "contention observed" true (r.Tpcb.conflicts > 0);
   Libtp.checkpoint env;
@@ -205,16 +211,11 @@ let test_record_grain_mpl8_shared_history () =
   let db =
     Tpcb.build m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~rng ~scale:small_scale
   in
-  let sched = Sched.create m.Tutil.clock in
   let env =
     Libtp.open_env m.Tutil.clock m.Tutil.stats m.Tutil.cfg v ~pool_pages:256
       ~log_path:"/tpcb/log" ()
   in
-  let r =
-    Tpcb.run_sched m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.User env)
-      ~rng ~n:200 ~mpl:8
-  in
-  Sched.detach sched;
+  let r = run_sched ~mpl:8 m db (Tpcb.User env) ~rng ~n:200 in
   Alcotest.(check int) "all committed" 200 r.Tpcb.base.Tpcb.txns;
   Libtp.checkpoint env;
   Tpcb.check_consistency m.Tutil.clock m.Tutil.stats m.Tutil.cfg db v;
@@ -226,12 +227,8 @@ let test_multi_user_matches_single_user_invariants () =
   let k = Ktxn.create fs in
   Tpcb.protect_all db k;
   let rng = Rng.create ~seed:11 in
-  let r =
-    Tpcb.run_multi m.Tutil.clock m.Tutil.stats m.Tutil.cfg db (Tpcb.Kernel k)
-      ~rng ~n:120 ~mpl:3
-  in
+  ignore (run_sched ~mpl:3 m db (Tpcb.Kernel k) ~rng ~n:120);
   (* Crash right after: everything committed must survive. *)
-  ignore r;
   Lfs.crash fs;
   let fs = Lfs.mount m.Tutil.disks m.Tutil.clock m.Tutil.stats m.Tutil.cfg in
   let v' = Lfs.vfs fs in
