@@ -184,9 +184,7 @@ let () =
     o.tps_scale
     (Tpcb.scale_for_tps o.tps_scale).Tpcb.accounts
     o.txns o.nseeds;
-  let emit ~name ~config json =
-    Printf.printf "wrote %s\n%!" (Expcommon.write_bench ~name ~config json)
-  in
+  let emit = Expcommon.emit_bench in
   let fig4 = Fig4.run ~tps_scale:o.tps_scale ~txns:o.txns ~seeds () in
   Fig4.print fig4;
   emit ~name:"fig4" ~config:fig4.Fig4.config (Fig4.to_json fig4);
@@ -198,13 +196,7 @@ let () =
   emit ~name:"fig6" ~config:fig6.Fig6.config (Fig6.to_json fig6);
   let fig7 = Fig7.of_measurements ~fig4 ~fig6 in
   Fig7.print fig7;
-  emit ~name:"fig7" ~config:fig4.Fig4.config
-    (Json.Obj
-       [
-         ("fig7", Fig7.to_json fig7);
-         ( "sources",
-           Json.Obj [ ("fig4", Fig4.to_json fig4); ("fig6", Fig6.to_json fig6) ] );
-       ]);
+  emit ~name:"fig7" ~config:fig4.Fig4.config (Fig7.artifact_json ~fig4 ~fig6 fig7);
   Ablation.print (Ablation.test_and_set ~tps_scale:o.tps_scale ~txns:(o.txns / 2) ());
   Ablation.print
     (Ablation.cleaner_placement ~tps_scale:o.tps_scale ~txns:(o.txns * 3 / 4) ());

@@ -4,17 +4,11 @@ type t = { title : string; rows : row list }
 
 (* Like the figures, the ablations run the paper's on-demand cleaner. *)
 let base_config config tps_scale =
-  Expcommon.on_demand_cleaner
-    (match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default)
+  Expcommon.on_demand_cleaner (Expcommon.scaled_config ?config tps_scale)
 
 let measure ~config ~tps_scale ~txns setup label note =
   let scale = Tpcb.scale_for_tps tps_scale in
-  let r, _ =
-    Expcommon.run_tpcb_mpl ~config ~scale ~txns ~seed:1 ~mpl:1 setup
-  in
+  let r = Expcommon.run_tpcb_mpl ~config ~scale ~txns ~seed:1 ~mpl:1 setup in
   {
     label;
     tps = r.Expcommon.result.Tpcb.tps;
@@ -118,10 +112,7 @@ let coalescing ?config ?(tps_scale = 4) ?(txns = 15_000) () =
   let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
   let v = Lfs.vfs fs in
   let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-  let env =
-    Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-      ~pool_pages:1024 ~log_path:"/tpcb/log" ()
-  in
+  let env = Expcommon.wal_env m v ~pool_pages:1024 in
   ignore (Expcommon.run_window m ~lfs:fs db (Tpcb.User env) ~rng ~txns ~mpl:1);
   Libtp.checkpoint env;
   Lfs.sync fs;
@@ -163,21 +154,17 @@ let multiprogramming ?config ?(tps_scale = 4) ?(txns = 8_000) () =
   let config = base_config config tps_scale in
   let scale = Tpcb.scale_for_tps tps_scale in
   let row mpl =
-    let m = Expcommon.machine config in
-    let rng = Rng.create ~seed:1 in
-    let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-    let v = Lfs.vfs fs in
-    let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-    let k = Ktxn.create fs in
-    Tpcb.protect_all db k;
-    let r = Expcommon.run_window m ~lfs:fs db (Tpcb.Kernel k) ~rng ~txns ~mpl in
+    let r =
+      Expcommon.run_tpcb_mpl ~config ~scale ~txns ~seed:1 ~mpl
+        Expcommon.Lfs_kernel
+    in
     {
       label = Printf.sprintf "multiprogramming level %d" mpl;
-      tps = r.Tpcb.base.Tpcb.tps;
-      max_latency_s = r.Tpcb.base.Tpcb.max_latency_s;
+      tps = r.Expcommon.result.Tpcb.tps;
+      max_latency_s = r.Expcommon.result.Tpcb.max_latency_s;
       note =
-        Printf.sprintf "%d conflicts, %d deadlocks" r.Tpcb.conflicts
-          r.Tpcb.deadlocks;
+        Printf.sprintf "%d conflicts, %d deadlocks" r.Expcommon.lock_blocks
+          r.Expcommon.deadlocks;
     }
   in
   {

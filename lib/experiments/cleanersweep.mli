@@ -33,12 +33,8 @@ type point = {
   cold_segments : int;  (** relocation segments opened by segregation *)
 }
 
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;  (** the base configuration before per-arm edits *)
-}
+type t = point Expcommon.sweep
+(** [setup] is always {!Expcommon.Lfs_kernel}. *)
 
 val default_utils : int list
 (** [[50; 70; 80; 90]] *)
@@ -48,6 +44,9 @@ val default_mpls : int list
 
 val default_arms : arm list
 (** Both policies, each with and without segregation. *)
+
+val arm_key : arm -> string
+(** [greedy], [greedy+seg], [cost-benefit] or [cost-benefit+seg]. *)
 
 val run :
   ?tps_scale:int ->
@@ -62,5 +61,11 @@ val run :
 val to_json : t -> Json.t
 (** The [data] block of [BENCH_cleanersweep.json]; every point carries
     the machine's full stats. *)
+
+val check : Json.t -> string list
+(** {!Expcommon.check_sweep} plus: [segments_cleaned] equals
+    [cleans_observed] everywhere; at MPL 8, cost-benefit+seg keeps more
+    of its lowest-utilization TPS at the highest utilization than
+    greedy. *)
 
 val print : t -> unit

@@ -21,29 +21,16 @@ type point = {
   log_disk : bool;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   disks : disk_stat list;
 }
 
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;
-  setup : Expcommon.setup;
-}
+type t = point Expcommon.sweep
 
 let default_setups =
   [ ("1-shared", 1, false); ("1+log", 1, true); ("2+log", 2, true);
     ("4+log", 4, true) ]
 
 let default_mpls = [ 1; 8 ]
-
-(* Same page-spreading as the MPL sweep: TPC-B's official teller/branch
-   ratios leave those relations on single pages, and page-grain 2PL
-   would serialize every transaction on them at any MPL above 1. *)
-let spread_scale tps =
-  { Tpcb.accounts = 100_000 * tps; tellers = 200 * tps; branches = 200 * tps }
 
 (* The spindles a configuration reports under, in Diskset.members order:
    the lone data disk keeps the historical "disk" prefix so single-disk
@@ -69,10 +56,8 @@ let disk_stat stats prefix =
 
 let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(mpls = default_mpls)
     ?(setups = default_setups) ?(setup = Expcommon.Lfs_user) () =
-  let base =
-    Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
-  let scale = spread_scale tps_scale in
+  let base = Expcommon.scaled_config tps_scale in
+  let scale = Expcommon.spread_scale ~accounts_per_tps:100_000 tps_scale in
   let points =
     List.concat_map
       (fun (label, ndisks, log_disk) ->
@@ -96,17 +81,17 @@ let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(mpls = default_mpls)
               }
             in
             let cfg = { base with Config.fs } in
-            let run, multi =
+            let run =
               Expcommon.run_tpcb_mpl ~config:cfg ~scale ~txns ~seed ~mpl setup
             in
             let disks =
               List.map (disk_stat run.Expcommon.stats) (prefixes cfg)
             in
-            { label; ndisks; log_disk; mpl; run; multi; disks })
+            { label; ndisks; log_disk; mpl; run; disks })
           mpls)
       setups
   in
-  { points; scale; txns; config = base; setup }
+  { Expcommon.points; scale; txns; config = base; setup }
 
 let disk_stat_json d =
   Json.Obj
@@ -122,44 +107,72 @@ let disk_stat_json d =
 
 let point_json p =
   Json.Obj
-    [
-      ("label", Json.Str p.label);
-      ("ndisks", Json.Int p.ndisks);
-      ("log_disk", Json.Bool p.log_disk);
-      ("mpl", Json.Int p.mpl);
-      ("tps", Json.Float p.run.Expcommon.result.Tpcb.tps);
-      ("elapsed_s", Json.Float p.run.Expcommon.result.Tpcb.elapsed_s);
-      ("txns", Json.Int p.run.Expcommon.result.Tpcb.txns);
-      ("max_latency_s", Json.Float p.run.Expcommon.result.Tpcb.max_latency_s);
-      ("lock_blocks", Json.Int p.multi.Tpcb.conflicts);
-      ("deadlocks", Json.Int p.multi.Tpcb.deadlocks);
-      ("restarts", Json.Int p.multi.Tpcb.restarts);
-      ("cleaner_stall_s", Json.Float p.run.Expcommon.cleaner_stall_s);
-      ("disks", Json.List (List.map disk_stat_json p.disks));
-      ("stats", Stats.to_json p.run.Expcommon.stats);
-    ]
+    ([
+       ("label", Json.Str p.label);
+       ("ndisks", Json.Int p.ndisks);
+       ("log_disk", Json.Bool p.log_disk);
+       ("mpl", Json.Int p.mpl);
+       ("disks", Json.List (List.map disk_stat_json p.disks));
+     ]
+    @ Expcommon.run_fields p.run)
 
-let to_json t =
-  Json.Obj
-    [
-      ("figure", Json.Str "disksweep");
-      ("setup", Json.Str (Expcommon.setup_key t.setup));
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
-      ("txns", Json.Int t.txns);
-      ("points", Json.List (List.map point_json t.points));
-    ]
+let to_json t = Expcommon.sweep_json ~figure:"disksweep" point_json t
 
-let print t =
-  Expcommon.pp_header
-    (Printf.sprintf "Disk-placement sweep: %s, TPC-B, %d accounts, %d txns per point"
-       (Expcommon.setup_label t.setup)
-       t.scale.Tpcb.accounts t.txns);
+let num = Expcommon.num
+
+(* The dedicated log spindle and the 4-wide stripe must beat the shared
+   single disk at MPL 8, and the stripe's per-disk busy times must lie
+   within 2x of each other — the round-robin layout has no hot
+   spindle. *)
+let rules points =
+  let at ~ndisks ~log_disk =
+    List.find_opt
+      (fun p ->
+        num "ndisks" p = float_of_int ndisks
+        && Json.member "log_disk" p = Some (Json.Bool log_disk)
+        && num "mpl" p = 8.0)
+      points
+  in
+  let faster ndisks =
+    match (at ~ndisks:1 ~log_disk:false, at ~ndisks ~log_disk:true) with
+    | Some shared, Some p ->
+      Option.to_list
+        (Expcommon.tps_above
+           (Printf.sprintf "disksweep: TPS(%d+log)" ndisks)
+           p "TPS(1 shared)" shared " at MPL 8")
+    | _ -> []
+  in
+  let balanced p =
+    match Json.member "disks" p with
+    | Some (Json.List ds) when num "ndisks" p = 4.0 ->
+      let busies =
+        List.filter_map
+          (fun d ->
+            match Json.member "disk" d with
+            | Some (Json.Str name) when name <> "disklog" -> Some (num "busy_s" d)
+            | _ -> None)
+          ds
+      in
+      let hi = List.fold_left Float.max 0.0 busies in
+      let lo = List.fold_left Float.min infinity busies in
+      if busies <> [] && hi > 2.0 *. lo then
+        Some
+          (Printf.sprintf
+             "disksweep: 4-disk stripe busy times unbalanced at MPL %g (max \
+              %.2fs > 2x min %.2fs)"
+             (num "mpl" p) hi lo)
+      else None
+    | _ -> None
+  in
+  faster 1 @ faster 4 @ List.filter_map balanced points
+
+let check =
+  Expcommon.check_sweep ~name:"disksweep"
+    ~fields:[ "label"; "ndisks"; "log_disk"; "mpl"; "tps"; "disks" ]
+    rules
+
+let print (t : t) =
+  Expcommon.pp_sweep_header "Disk-placement sweep" t;
   Printf.printf "%-10s %4s %8s %10s  %s\n" "config" "mpl" "TPS" "max lat" "per-disk busy (s)";
   List.iter
     (fun p ->
@@ -181,8 +194,5 @@ let print t =
   | Some shared, Some dedicated ->
     Printf.printf
       "\nshape: MPL 8, dedicated log spindle vs shared: %+.1f%% TPS\n"
-      (100.0
-      *. ((dedicated.run.Expcommon.result.Tpcb.tps
-           /. shared.run.Expcommon.result.Tpcb.tps)
-         -. 1.0))
+      (Expcommon.gain_pct dedicated.run shared.run)
   | _ -> ()

@@ -26,17 +26,11 @@ type point = {
   log_disk : bool;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   disks : disk_stat list;  (** one entry per spindle, data then log *)
 }
 
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;  (** the base (single shared disk) configuration *)
-  setup : Expcommon.setup;
-}
+type t = point Expcommon.sweep
+(** [config] is the base (single shared disk) configuration. *)
 
 val default_setups : (string * int * bool) list
 (** [(label, ndisks, log_disk)]: one shared disk, one disk plus log
@@ -58,5 +52,10 @@ val to_json : t -> Json.t
 (** The [data] block of [BENCH_disksweep.json]; every point carries its
     per-disk busy/seek summary and the machine's full stats (including
     the per-spindle seek histograms). *)
+
+val check : Json.t -> string list
+(** {!Expcommon.check_sweep} plus: at MPL 8, 1+log and 4+log each
+    out-run the shared disk; a 4-wide stripe's data disks are busy
+    within 2x of each other. *)
 
 val print : t -> unit

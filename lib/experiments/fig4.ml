@@ -20,20 +20,14 @@ let paper_value = function
 let run ?config ?(tps_scale = default_tps_scale) ?(txns = 20_000)
     ?(seeds = [ 1; 2; 3 ]) () =
   let config =
-    Expcommon.on_demand_cleaner
-      (match config with
-      | Some c -> c
-      | None ->
-        Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default)
+    Expcommon.on_demand_cleaner (Expcommon.scaled_config ?config tps_scale)
   in
   let scale = Tpcb.scale_for_tps tps_scale in
   let bar setup =
-    let runs =
-      List.map
-        (fun seed ->
-          fst (Expcommon.run_tpcb_mpl ~config ~scale ~txns ~seed ~mpl:1 setup))
-        seeds
+    let run seed =
+      Expcommon.run_tpcb_mpl ~config ~scale ~txns ~seed ~mpl:1 setup
     in
+    let runs = List.map run seeds in
     let tps = List.map (fun r -> r.Expcommon.result.Tpcb.tps) runs in
     {
       setup;
@@ -59,13 +53,7 @@ let to_json t =
   Json.Obj
     [
       ("figure", Json.Str "fig4");
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
+      ("scale", Expcommon.scale_json t.scale);
       ("txns", Json.Int t.txns);
       ( "bars",
         Json.List

@@ -35,10 +35,7 @@ let user_tp_bench tps_scale txns m fs =
   let rng = Rng.create ~seed:5 in
   let v = Lfs.vfs fs in
   let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-  let env =
-    Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-      ~pool_pages:1024 ~log_path:"/tpcb/log" ()
-  in
+  let env = Expcommon.wal_env m v ~pool_pages:1024 in
   let r =
     Expcommon.run_window m ~lfs:fs db (Tpcb.User env) ~rng ~txns ~mpl:1
   in
@@ -46,11 +43,7 @@ let user_tp_bench tps_scale txns m fs =
 
 let run ?config ?(tps_scale = 2) () =
   let config =
-    Expcommon.on_demand_cleaner
-      (match config with
-      | Some c -> c
-      | None ->
-        Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default)
+    Expcommon.on_demand_cleaner (Expcommon.scaled_config ?config tps_scale)
   in
   let with_kernel ktxn =
     { config with Config.fs = { config.Config.fs with kernel_txn = ktxn } }

@@ -10,11 +10,7 @@ type t = { readopt : side; lfs : side; txns : int; config : Config.t }
 
 let run ?config ?(tps_scale = 4) ?(txns = 20_000) ?(seed = 1) () =
   let config =
-    Expcommon.on_demand_cleaner
-      (match config with
-      | Some c -> c
-      | None ->
-        Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default)
+    Expcommon.on_demand_cleaner (Expcommon.scaled_config ?config tps_scale)
   in
   let scale = Tpcb.scale_for_tps tps_scale in
   let one which =
@@ -30,10 +26,7 @@ let run ?config ?(tps_scale = 4) ?(txns = 20_000) ?(seed = 1) () =
         (Lfs.vfs fs, Some fs, fun () -> None)
     in
     let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-    let env =
-      Libtp.open_env m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v
-        ~pool_pages:1024 ~log_path:"/tpcb/log" ()
-    in
+    let env = Expcommon.wal_env m v ~pool_pages:1024 in
     let r = Expcommon.run_window m ?lfs db (Tpcb.User env) ~rng ~txns ~mpl:1 in
     (* Flush everything so the scan measures the on-disk layout, not the
        caches' leftovers. *)

@@ -24,9 +24,11 @@ type t = {
 val of_measurements : fig4:Fig4.t -> fig6:Fig6.t -> t
 (** Derive the figure from the Figure 4 and Figure 6 measurements. *)
 
-val run :
-  ?config:Config.t -> ?tps_scale:int -> ?txns:int -> ?seeds:int list -> unit -> t
-(** Run Figures 4 and 6 afresh and derive the crossover. *)
-
 val to_json : t -> Json.t
+
+val artifact_json : fig4:Fig4.t -> fig6:Fig6.t -> t -> Json.t
+(** The [data] block of [BENCH_fig7.json]: the derived figure plus the
+    two source measurements (and their metrics), so the artifact stands
+    on its own. *)
+
 val print : t -> unit

@@ -11,56 +11,36 @@ type point = {
   streams : int;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_commit_batch : float;
   forces : int;
-  dep_checks : int;  (** cross-stream dependencies inspected at commit *)
-  dep_forces : int;  (** ... of which actually forced another stream *)
+  dep_checks : int;
+  dep_forces : int;
   force_p99 : (string * float) list;
-      (** per-stream force-latency p99 seconds: [("log", _)] for a single
-          stream, else [("s0", _); ("s1", _); ...] *)
 }
 
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;
-  setup : Expcommon.setup;
-}
+type t = point Expcommon.sweep
 
 let default_streams = [ 1; 2; 4 ]
 let default_mpls = [ 8; 16 ]
 
-(* Tellers/branches spread as in the MPL and disk sweeps (the official
-   ratios leave them on single pages, and page contention would
-   serialize any MPL above 1) — but unlike those sweeps the account
-   relation is kept small enough to stay buffer-pool resident.  A
-   disk-resident account working set makes TPC-B data-seek-bound and the
-   log arm idles either way; parallel WAL is a remedy for the log-bound
-   regime, so that is the regime the sweep measures. *)
-let spread_scale tps =
-  { Tpcb.accounts = 2_000 * tps; tellers = 200 * tps; branches = 200 * tps }
-
-let p99 stats key =
-  match Stats.histo stats key with
-  | Some h -> Histo.percentile h 0.99
-  | None -> 0.0
-
 let force_p99s stats streams =
-  if streams <= 1 then [ ("log", p99 stats "log.force") ]
+  let p99 = Expcommon.histo_p99 stats in
+  if streams <= 1 then [ ("log", p99 "log.force") ]
   else
     List.init streams (fun i ->
         let tag = Printf.sprintf "s%d" i in
-        (tag, p99 stats (Printf.sprintf "log.%s.force" tag)))
+        (tag, p99 (Printf.sprintf "log.%s.force" tag)))
 
 let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
     ?(streams = default_streams) ?(mpls = default_mpls)
     ?(setup = Expcommon.Lfs_user) () =
-  let base =
-    Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
-  let scale = spread_scale tps_scale in
+  let base = Expcommon.scaled_config tps_scale in
+  (* Unlike the MPL and disk sweeps, the account relation is kept small
+     enough to stay buffer-pool resident.  A disk-resident account
+     working set makes TPC-B data-seek-bound and the log arm idles
+     either way; parallel WAL is a remedy for the log-bound regime, so
+     that is the regime the sweep measures. *)
+  let scale = Expcommon.spread_scale ~accounts_per_tps:2_000 tps_scale in
   let points =
     List.concat_map
       (fun ns ->
@@ -86,21 +66,15 @@ let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
               }
             in
             let cfg = { base with Config.fs } in
-            let run, multi =
+            let run =
               Expcommon.run_tpcb_mpl ~config:cfg ~scale ~txns ~seed ~mpl setup
             in
             let stats = run.Expcommon.stats in
-            let mean_commit_batch =
-              match Stats.histo stats "log.commit_batch" with
-              | Some h -> Histo.mean h
-              | None -> 0.0
-            in
             {
               streams = ns;
               mpl;
               run;
-              multi;
-              mean_commit_batch;
+              mean_commit_batch = Expcommon.histo_mean stats "log.commit_batch";
               forces = Stats.count stats "log.forces";
               dep_checks = Stats.count stats "log.dep_checks";
               dep_forces = Stats.count stats "log.dep_forces";
@@ -109,55 +83,68 @@ let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
           mpls)
       streams
   in
-  { points; scale; txns; config = base; setup }
+  { Expcommon.points; scale; txns; config = base; setup }
 
 let point_json p =
   Json.Obj
-    [
-      ("streams", Json.Int p.streams);
-      ("mpl", Json.Int p.mpl);
-      ("tps", Json.Float p.run.Expcommon.result.Tpcb.tps);
-      ("elapsed_s", Json.Float p.run.Expcommon.result.Tpcb.elapsed_s);
-      ("txns", Json.Int p.run.Expcommon.result.Tpcb.txns);
-      ("max_latency_s", Json.Float p.run.Expcommon.result.Tpcb.max_latency_s);
-      ("mean_commit_batch", Json.Float p.mean_commit_batch);
-      ("forces", Json.Int p.forces);
-      ("dep_checks", Json.Int p.dep_checks);
-      ("dep_forces", Json.Int p.dep_forces);
-      ( "force_p99",
-        Json.List
-          (List.map
-             (fun (stream, s) ->
-               Json.Obj [ ("stream", Json.Str stream); ("p99_s", Json.Float s) ])
-             p.force_p99) );
-      ("lock_blocks", Json.Int p.multi.Tpcb.conflicts);
-      ("deadlocks", Json.Int p.multi.Tpcb.deadlocks);
-      ("restarts", Json.Int p.multi.Tpcb.restarts);
-      ("stats", Stats.to_json p.run.Expcommon.stats);
-    ]
+    ([
+       ("streams", Json.Int p.streams);
+       ("mpl", Json.Int p.mpl);
+       ("mean_commit_batch", Json.Float p.mean_commit_batch);
+       ("forces", Json.Int p.forces);
+       ("dep_checks", Json.Int p.dep_checks);
+       ("dep_forces", Json.Int p.dep_forces);
+       ( "force_p99",
+         Json.List
+           (List.map
+              (fun (stream, s) ->
+                Json.Obj [ ("stream", Json.Str stream); ("p99_s", Json.Float s) ])
+              p.force_p99) );
+     ]
+    @ Expcommon.run_fields p.run)
 
-let to_json t =
-  Json.Obj
-    [
-      ("figure", Json.Str "logsweep");
-      ("setup", Json.Str (Expcommon.setup_key t.setup));
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
-      ("txns", Json.Int t.txns);
-      ("points", Json.List (List.map point_json t.points));
-    ]
+let to_json t = Expcommon.sweep_json ~figure:"logsweep" point_json t
 
-let print t =
-  Expcommon.pp_header
-    (Printf.sprintf
-       "Parallel-WAL sweep: %s, TPC-B, %d accounts, %d txns per point"
-       (Expcommon.setup_label t.setup)
-       t.scale.Tpcb.accounts t.txns);
+let num = Expcommon.num
+
+(* Every point carries its per-stream force-latency p99, and parallel
+   streams pay off at the contended end: 4 streams beat 1 at MPL 16. *)
+let rules points =
+  let force_p99 p =
+    match Json.member "force_p99" p with
+    | Some (Json.List []) -> [ "logsweep: force_p99 empty" ]
+    | Some (Json.List l) ->
+      List.filter_map
+        (fun entry ->
+          if Json.member "stream" entry = None || Json.member "p99_s" entry = None
+          then Some "logsweep: force_p99 entry missing stream/p99_s"
+          else None)
+        l
+    | _ -> []
+  in
+  let at streams =
+    List.find_opt
+      (fun p -> num "streams" p = float_of_int streams && num "mpl" p = 16.0)
+      points
+  in
+  List.concat_map force_p99 points
+  @
+  match (at 1, at 4) with
+  | Some one, Some four ->
+    Option.to_list
+      (Expcommon.tps_above "logsweep: TPS(4 streams)" four "TPS(1 stream)" one
+         " at MPL 16")
+  | _ -> []
+
+let check =
+  Expcommon.check_sweep ~name:"logsweep"
+    ~fields:
+      [ "streams"; "mpl"; "tps"; "mean_commit_batch"; "dep_checks";
+        "dep_forces"; "force_p99" ]
+    rules
+
+let print (t : t) =
+  Expcommon.pp_sweep_header "Parallel-WAL sweep" t;
   Printf.printf "%7s %4s %8s %10s %8s %10s %10s  %s\n" "streams" "mpl" "TPS"
     "batch" "forces" "dep-force" "dep-check" "force p99 (ms)";
   List.iter
@@ -179,8 +166,5 @@ let print t =
   match (find 1 16, find 4 16) with
   | Some one, Some four ->
     Printf.printf "\nshape: MPL 16, 4 streams vs 1: %+.1f%% TPS\n"
-      (100.0
-      *. ((four.run.Expcommon.result.Tpcb.tps
-           /. one.run.Expcommon.result.Tpcb.tps)
-         -. 1.0))
+      (Expcommon.gain_pct four.run one.run)
   | _ -> ()

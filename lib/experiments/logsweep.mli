@@ -16,7 +16,6 @@ type point = {
   streams : int;
   mpl : int;
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_commit_batch : float;  (** mean of [log.commit_batch], all streams *)
   forces : int;  (** total log forces across streams *)
   dep_checks : int;  (** cross-stream dependencies inspected at commit *)
@@ -26,13 +25,7 @@ type point = {
           stream, else [("s0", _); ("s1", _); ...] *)
 }
 
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;  (** the base configuration before per-point edits *)
-  setup : Expcommon.setup;
-}
+type t = point Expcommon.sweep
 
 val default_streams : int list
 (** [[1; 2; 4]] *)
@@ -53,5 +46,9 @@ val run :
 val to_json : t -> Json.t
 (** The [data] block of [BENCH_logsweep.json]; every point carries the
     machine's full stats (including the per-stream force histograms). *)
+
+val check : Json.t -> string list
+(** {!Expcommon.check_sweep} plus: every [force_p99] entry has [stream]
+    and [p99_s]; 4 streams out-run 1 at MPL 16. *)
 
 val print : t -> unit

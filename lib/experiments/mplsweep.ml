@@ -11,20 +11,13 @@ type point = {
   group_timeout_s : float;
   lock_grain : [ `Page | `Record ];
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_batch : float;
   group_flushes : int;
   group_commit_wait_s : float;
   lock_wait_p99_s : float;
 }
 
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;
-  setup : Expcommon.setup;
-}
+type t = point Expcommon.sweep
 
 let default_mpls = [ 1; 2; 4; 8; 16 ]
 let default_grains = [ `Page; `Record ]
@@ -33,53 +26,16 @@ let default_grains = [ `Page; `Record ]
    sees a second committer arrive. *)
 let default_groups = [ (1, 0.0); (4, 0.05); (8, 0.1) ]
 
-(* TPC-B's official ratios (10 tellers and 1 branch per TPS) leave the
-   whole teller and branch relations on a single B-tree page at any
-   scale this simulator can run, and page-grain 2PL holds those page
-   locks through the commit flush — every transaction would serialize
-   on them and no MPL could ever produce a commit batch above one. The
-   sweep therefore spreads both hot relations across many pages (the
-   concurrency analogue of the spec's "scale the database with the
-   load" provision) while keeping the account relation at its official
-   size. *)
-let spread_scale tps =
-  { Tpcb.accounts = 100_000 * tps; tellers = 200 * tps; branches = 200 * tps }
+let grain_key = Config.name_of Config.lock_grains
 
-let with_group config (size, timeout) =
-  let fs =
-    {
-      config.Config.fs with
-      Config.group_commit_size = size;
-      group_commit_timeout_s = timeout;
-    }
-  in
-  { config with Config.fs }
-
-let with_grain config grain =
-  { config with Config.fs = { config.Config.fs with Config.lock_grain = grain } }
-
-let grain_key = function `Page -> "page" | `Record -> "record"
-
-let grain_of_string = function
-  | "page" -> `Page
-  | "record" -> `Record
-  | s -> invalid_arg ("Mplsweep: unknown lock grain " ^ s)
-
-let batch_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.commit_batch"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "log.commit_batch"
-
-let flush_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.group_flushes"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "log.forces"
-
-let wait_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.group_commit_wait"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "log.group_commit_wait"
-
-let lock_wait_key = function
-  | Expcommon.Lfs_kernel -> "ktxn.lock_wait"
-  | Expcommon.Lfs_user | Expcommon.Readopt_user -> "txn.lock_wait"
+(* The commit-path stats of a setup: commit batch, flush count, group
+   commit wait and lock wait — the embedded manager's or the WAL's. *)
+let stat_keys = function
+  | Expcommon.Lfs_kernel ->
+    ("ktxn.commit_batch", "ktxn.group_flushes", "ktxn.group_commit_wait",
+     "ktxn.lock_wait")
+  | Expcommon.Lfs_user | Expcommon.Readopt_user ->
+    ("log.commit_batch", "log.forces", "log.group_commit_wait", "txn.lock_wait")
 
 (* Default setup is the user-level system: that is where record-grain
    locking changes transaction behaviour end to end (the embedded kernel
@@ -88,98 +44,115 @@ let lock_wait_key = function
 let run ?config ?(tps_scale = 2) ?(txns = 2_000) ?(seed = 1)
     ?(mpls = default_mpls) ?(groups = default_groups)
     ?(grains = default_grains) ?(setup = Expcommon.Lfs_user) () =
-  let base =
-    match config with
-    | Some c -> c
-    | None ->
-      Config.scaled ~factor:(float_of_int tps_scale /. 10.0) Config.default
-  in
-  let scale = spread_scale tps_scale in
+  let base = Expcommon.scaled_config ?config tps_scale in
+  (* The account relation keeps its official size. *)
+  let scale = Expcommon.spread_scale ~accounts_per_tps:100_000 tps_scale in
+  let batch_key, flush_key, wait_key, lock_wait_key = stat_keys setup in
   let points =
     List.concat_map
       (fun grain ->
         List.concat_map
           (fun (gsize, gtimeout) ->
-            let cfg = with_grain (with_group base (gsize, gtimeout)) grain in
+            let cfg =
+              {
+                base with
+                Config.fs =
+                  {
+                    base.Config.fs with
+                    Config.lock_grain = grain;
+                    group_commit_size = gsize;
+                    group_commit_timeout_s = gtimeout;
+                  };
+              }
+            in
             List.map
               (fun mpl ->
-                let run, multi =
+                let run =
                   Expcommon.run_tpcb_mpl ~config:cfg ~scale ~txns ~seed ~mpl
                     setup
                 in
                 let stats = run.Expcommon.stats in
-                let mean_batch =
-                  match Stats.histo stats (batch_key setup) with
-                  | Some h when Histo.count h > 0 -> Histo.mean h
-                  | _ -> 1.0
-                in
-                let lock_wait_p99_s =
-                  match Stats.histo stats (lock_wait_key setup) with
-                  | Some h when Histo.count h > 0 -> Histo.percentile h 0.99
-                  | _ -> 0.0
-                in
                 {
                   mpl;
                   group_size = gsize;
                   group_timeout_s = gtimeout;
                   lock_grain = grain;
                   run;
-                  multi;
-                  mean_batch;
-                  group_flushes = Stats.count stats (flush_key setup);
-                  group_commit_wait_s = Stats.time stats (wait_key setup);
-                  lock_wait_p99_s;
+                  mean_batch = Expcommon.histo_mean ~empty:1.0 stats batch_key;
+                  group_flushes = Stats.count stats flush_key;
+                  group_commit_wait_s = Stats.time stats wait_key;
+                  lock_wait_p99_s = Expcommon.histo_p99 stats lock_wait_key;
                 })
               mpls)
           groups)
       grains
   in
-  { points; scale; txns; config = base; setup }
+  { Expcommon.points; scale; txns; config = base; setup }
 
 let point_json p =
   Json.Obj
-    [
-      ("mpl", Json.Int p.mpl);
-      ("group_size", Json.Int p.group_size);
-      ("group_timeout_s", Json.Float p.group_timeout_s);
-      ("lock_grain", Json.Str (grain_key p.lock_grain));
-      ("tps", Json.Float p.run.Expcommon.result.Tpcb.tps);
-      ("elapsed_s", Json.Float p.run.Expcommon.result.Tpcb.elapsed_s);
-      ("txns", Json.Int p.run.Expcommon.result.Tpcb.txns);
-      ("max_latency_s", Json.Float p.run.Expcommon.result.Tpcb.max_latency_s);
-      ("mean_commit_batch", Json.Float p.mean_batch);
-      ("group_flushes", Json.Int p.group_flushes);
-      ("group_commit_wait_s", Json.Float p.group_commit_wait_s);
-      ("lock_blocks", Json.Int p.multi.Tpcb.conflicts);
-      ("lock_wait_p99_s", Json.Float p.lock_wait_p99_s);
-      ("deadlocks", Json.Int p.multi.Tpcb.deadlocks);
-      ("restarts", Json.Int p.multi.Tpcb.restarts);
-      ("cleaner_stall_s", Json.Float p.run.Expcommon.cleaner_stall_s);
-      ("stats", Stats.to_json p.run.Expcommon.stats);
-    ]
+    ([
+       ("mpl", Json.Int p.mpl);
+       ("group_size", Json.Int p.group_size);
+       ("group_timeout_s", Json.Float p.group_timeout_s);
+       ("lock_grain", Json.Str (grain_key p.lock_grain));
+       ("mean_commit_batch", Json.Float p.mean_batch);
+       ("group_flushes", Json.Int p.group_flushes);
+       ("group_commit_wait_s", Json.Float p.group_commit_wait_s);
+       ("lock_wait_p99_s", Json.Float p.lock_wait_p99_s);
+     ]
+    @ Expcommon.run_fields p.run)
 
-let to_json t =
-  Json.Obj
-    [
-      ("figure", Json.Str "mplsweep");
-      ("setup", Json.Str (Expcommon.setup_key t.setup));
-      ( "scale",
-        Json.Obj
-          [
-            ("accounts", Json.Int t.scale.Tpcb.accounts);
-            ("tellers", Json.Int t.scale.Tpcb.tellers);
-            ("branches", Json.Int t.scale.Tpcb.branches);
-          ] );
-      ("txns", Json.Int t.txns);
-      ("points", Json.List (List.map point_json t.points));
-    ]
+let to_json t = Expcommon.sweep_json ~figure:"mplsweep" point_json t
 
-let print t =
-  Expcommon.pp_header
-    (Printf.sprintf
-       "MPL sweep: %s, TPC-B, %d accounts, %d txns per point"
-       (Expcommon.setup_label t.setup)
-       t.scale.Tpcb.accounts t.txns);
+let num = Expcommon.num
+
+(* Group commit must demonstrably batch once MPL and group size allow
+   it; MPL 8 must beat MPL 1 for a grouped configuration; and record
+   grain must beat page grain at MPL 16, the contention end of the
+   sweep — the point of hierarchical locking. Pairs are matched on group
+   size and lock grain (legacy artifacts carry no grain and still
+   match). *)
+let rules points =
+  let pairs f = List.concat_map (fun a -> List.filter_map (f a) points) points in
+  let same key a b = Json.member key a = Json.member key b in
+  let grain_at g p =
+    Json.member "lock_grain" p = Some (Json.Str g) && num "mpl" p = 16.0
+  in
+  (if
+     List.exists (fun p -> num "mpl" p > 1.0 && num "group_size" p > 1.0) points
+     && List.for_all (fun p -> num "mean_commit_batch" p <= 1.0) points
+   then
+     [
+       "mplsweep: no point achieved a mean commit batch > 1 despite MPL > 1 \
+        and group size > 1";
+     ]
+   else [])
+  @ pairs (fun p8 p1 ->
+        if
+          num "mpl" p8 = 8.0 && num "group_size" p8 > 1.0 && num "mpl" p1 = 1.0
+          && same "group_size" p1 p8 && same "lock_grain" p1 p8
+        then
+          Expcommon.tps_above "mplsweep: TPS at MPL 8" p8 "MPL 1" p1
+            (Printf.sprintf " for group size %g" (num "group_size" p8))
+        else None)
+  @ pairs (fun pr pp ->
+        if grain_at "record" pr && grain_at "page" pp && same "group_size" pp pr
+        then
+          Expcommon.tps_above "mplsweep: record-grain TPS at MPL 16" pr
+            "page grain" pp
+            (Printf.sprintf " for group size %g" (num "group_size" pr))
+        else None)
+
+let check =
+  Expcommon.check_sweep ~name:"mplsweep"
+    ~fields:
+      [ "mpl"; "group_size"; "group_timeout_s"; "lock_grain"; "tps";
+        "mean_commit_batch"; "group_flushes"; "lock_wait_p99_s" ]
+    rules
+
+let print (t : t) =
+  Expcommon.pp_sweep_header "MPL sweep" t;
   Printf.printf "%6s %4s %6s %10s %8s %10s %8s %8s %8s %9s\n" "grain" "mpl"
     "gsize" "timeout" "TPS" "mean" "flushes" "blocks" "dlocks" "gc wait";
   Printf.printf "%6s %4s %6s %10s %8s %10s %8s %8s %8s %9s\n" "" "" "" "(ms)"
@@ -190,7 +163,7 @@ let print t =
         (grain_key p.lock_grain) p.mpl p.group_size
         (1000.0 *. p.group_timeout_s)
         p.run.Expcommon.result.Tpcb.tps p.mean_batch p.group_flushes
-        p.multi.Tpcb.conflicts p.multi.Tpcb.deadlocks p.group_commit_wait_s)
+        p.run.Expcommon.lock_blocks p.run.Expcommon.deadlocks p.group_commit_wait_s)
     t.points;
   (* Headline: does group commit do real work once MPL > 1, and does
      record granularity beat page granularity under contention? *)
@@ -206,17 +179,12 @@ let print t =
   | Some p1, Some p8 ->
     Printf.printf
       "\nshape: gsize 8, MPL 8 vs MPL 1: %+.1f%% TPS (batch %.2f vs %.2f)\n"
-      (100.0
-      *. ((p8.run.Expcommon.result.Tpcb.tps
-           /. p1.run.Expcommon.result.Tpcb.tps)
-         -. 1.0))
+      (Expcommon.gain_pct p8.run p1.run)
       p8.mean_batch p1.mean_batch
   | _ -> ());
   match (find `Page 16 8, find `Record 16 8) with
   | Some pp, Some pr ->
     Printf.printf
       "shape: gsize 8, MPL 16, record vs page grain: %+.1f%% TPS\n"
-      (100.0
-      *. ((pr.run.Expcommon.result.Tpcb.tps /. pp.run.Expcommon.result.Tpcb.tps)
-         -. 1.0))
+      (Expcommon.gain_pct pr.run pp.run)
   | _ -> ()

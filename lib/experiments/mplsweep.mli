@@ -16,27 +16,17 @@ type point = {
   group_timeout_s : float;
   lock_grain : [ `Page | `Record ];
   run : Expcommon.tpcb_run;
-  multi : Tpcb.multi_result;
   mean_batch : float;  (** mean committers per flush (1.0 if no sample) *)
   group_flushes : int;
   group_commit_wait_s : float;
   lock_wait_p99_s : float;  (** p99 time a transaction spent parked on a lock *)
 }
 
-type t = {
-  points : point list;
-  scale : Tpcb.scale;
-  txns : int;
-  config : Config.t;
-  setup : Expcommon.setup;
-}
+type t = point Expcommon.sweep
 
 val default_mpls : int list
 val default_groups : (int * float) list
 val default_grains : [ `Page | `Record ] list
-
-val grain_key : [ `Page | `Record ] -> string
-val grain_of_string : string -> [ `Page | `Record ]
 
 val run :
   ?config:Config.t ->
@@ -55,5 +45,10 @@ val run :
 
 val to_json : t -> Json.t
 (** The [data] block of [BENCH_mplsweep.json]. *)
+
+val check : Json.t -> string list
+(** {!Expcommon.check_sweep} plus: some point batches commits when MPL
+    and group size allow it; MPL 8 out-runs MPL 1 for each grouped
+    configuration and grain; record grain out-runs page grain at MPL 16. *)
 
 val print : t -> unit

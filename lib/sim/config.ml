@@ -108,6 +108,10 @@ let default_fs =
 
 let default = { disk = default_disk; cpu = default_cpu; fs = default_fs }
 
+let lock_grains = [ ("page", `Page); ("record", `Record) ]
+let cleaner_policies = [ ("greedy", `Greedy); ("cost-benefit", `Cost_benefit) ]
+let name_of names v = fst (List.find (fun (_, x) -> x = v) names)
+
 let scaled ?(factor = 0.1) t =
   if factor <= 0.0 || factor > 1.0 then
     invalid_arg "Config.scaled: factor must be in (0, 1]";

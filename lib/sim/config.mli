@@ -111,6 +111,13 @@ type t = { disk : disk; cpu : cpu; fs : fs }
 val default : t
 (** The calibrated DECstation/RZ55/Sprite configuration. *)
 
+(** The string forms of {!fs.lock_grain} and {!fs.cleaner_policy}, for
+    the command line and the artifacts; [name_of names v] looks [v] up. *)
+
+val lock_grains : (string * [ `Page | `Record ]) list
+val cleaner_policies : (string * [ `Greedy | `Cost_benefit ]) list
+val name_of : (string * 'a) list -> 'a -> string
+
 val scaled : ?factor:float -> t -> t
 (** [scaled ~factor cfg] shrinks the disk and buffer cache by [factor]
     (default [0.1]) while preserving every ratio that drives the paper's
