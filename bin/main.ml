@@ -71,8 +71,10 @@ let log_streams_arg =
   in
   Arg.(value & opt pos_int 1 & info [ "log-streams" ] ~docv:"N" ~doc)
 
-let machine_config ~scale ~ndisks ~log_disk ?(log_streams = 1) ?lock_grain () =
-  let c = Expcommon.scaled_config scale in
+(* The placement and locking flags applied to a base machine: the
+   scaled experiment machine, or the small crash-sweep machine. *)
+let machine_config ~ndisks ~log_disk ?(log_streams = 1) ?lock_grain
+    (c : Config.t) =
   let lock_grain =
     Option.value lock_grain ~default:c.Config.fs.Config.lock_grain
   in
@@ -179,11 +181,11 @@ let ablation_cmd =
     Term.(const run $ which $ scale_arg $ txns_arg 10_000)
 
 (* Ad hoc TPC-B *)
-let setup_arg ?(default = Expcommon.Lfs_kernel)
+let setup_arg ?(default = Machine.Lfs_kernel)
     ?(doc = "Configuration: readopt-user, lfs-user, or lfs-kernel.") () =
   let setups =
-    Expcommon.
-      [ ("readopt-user", Readopt_user); ("lfs-user", Lfs_user);
+    Machine.
+      [ ("readopt-user", Ffs_user); ("lfs-user", Lfs_user);
         ("lfs-kernel", Lfs_kernel) ]
   in
   Arg.(value & opt (enum setups) default & info [ "setup" ] ~docv:"SETUP" ~doc)
@@ -199,7 +201,8 @@ let mpl_arg =
 let tpcb_cmd =
   let run setup scale txns seed mpl ndisks log_disk log_streams lock_grain =
     let config =
-      machine_config ~scale ~ndisks ~log_disk ~log_streams ~lock_grain ()
+      machine_config ~ndisks ~log_disk ~log_streams ~lock_grain
+        (Expcommon.scaled_config scale)
     in
     let r =
       Expcommon.run_tpcb_mpl ~config ~scale:(Tpcb.scale_for_tps scale) ~txns
@@ -211,7 +214,7 @@ let tpcb_cmd =
     Printf.printf
       "%s: %d txns in %.1f simulated seconds = %.2f TPS (max latency %.3fs, \
        cleaner stall %.1fs)\n"
-      (Expcommon.setup_label setup)
+      (Machine.label setup)
       r.Expcommon.result.Tpcb.txns r.Expcommon.result.Tpcb.elapsed_s
       r.Expcommon.result.Tpcb.tps r.Expcommon.result.Tpcb.max_latency_s
       r.Expcommon.cleaner_stall_s
@@ -251,7 +254,9 @@ let mplsweep_cmd =
       & info [ "grains" ] ~docv:"LIST" ~doc)
   in
   let run setup scale txns seed mpls groups grains json ndisks log_disk =
-    let config = machine_config ~scale ~ndisks ~log_disk () in
+    let config =
+      machine_config ~ndisks ~log_disk (Expcommon.scaled_config scale)
+    in
     let s =
       Mplsweep.run ~config ~tps_scale:scale ~txns ~seed ~mpls ~groups ~grains
         ~setup ()
@@ -269,7 +274,7 @@ let mplsweep_cmd =
       (* lfs-user, not the shared default: record granularity changes
          behaviour end to end only in the user-level system. *)
       const run
-      $ setup_arg ~default:Expcommon.Lfs_user ()
+      $ setup_arg ~default:Machine.Lfs_user ()
       $ scale_arg $ txns_arg 2_000 $ seed_arg
       $ mpls_arg Mplsweep.default_mpls
       $ groups_arg $ grains_arg $ json_arg $ ndisks_arg $ log_disk_arg)
@@ -292,7 +297,7 @@ let disksweep_cmd =
          lfs-kernel the LFS log IS the data, so the spindle only carries
          checkpoints. *)
       const run
-      $ setup_arg ~default:Expcommon.Lfs_user ()
+      $ setup_arg ~default:Machine.Lfs_user ()
       $ scale_arg $ txns_arg 1_000 $ seed_arg
       $ mpls_arg Disksweep.default_mpls $ json_arg)
 
@@ -320,7 +325,7 @@ let logsweep_cmd =
       (* lfs-user: the WAL (and so the stream count) only exists in the
          user-level systems. *)
       const run
-      $ setup_arg ~default:Expcommon.Lfs_user
+      $ setup_arg ~default:Machine.Lfs_user
           ~doc:"Configuration: readopt-user or lfs-user." ()
       $ scale_arg $ txns_arg 1_500 $ seed_arg $ streams_arg
       $ mpls_arg Logsweep.default_mpls $ json_arg)
@@ -376,7 +381,10 @@ let trace_cmd =
     Arg.(value & opt int 65_536 & info [ "cap" ] ~docv:"N" ~doc)
   in
   let run setup scale txns seed out cap mpl ndisks log_disk lock_grain =
-    let config = machine_config ~scale ~ndisks ~log_disk ~lock_grain () in
+    let config =
+      machine_config ~ndisks ~log_disk ~lock_grain
+        (Expcommon.scaled_config scale)
+    in
     let r =
       Expcommon.run_tpcb_mpl ~trace:cap ~config
         ~scale:(Tpcb.scale_for_tps scale) ~txns ~seed ~mpl setup
@@ -524,7 +532,11 @@ let snapshot_cmd =
 let faultsim_cmd =
   let backend_arg =
     let doc = "Backend: lfs-kernel, lfs-user, or ffs-user." in
-    Arg.(value & opt string "lfs-kernel" & info [ "backend" ] ~docv:"B" ~doc)
+    let setups = List.map (fun s -> (Machine.key s, s)) Machine.setups in
+    Arg.(
+      value
+      & opt (enum setups) Machine.Lfs_kernel
+      & info [ "backend" ] ~docv:"B" ~doc)
   in
   let points_arg =
     let doc = "Number of evenly spaced crash points (0 = every write)." in
@@ -539,55 +551,57 @@ let faultsim_cmd =
   in
   let workload_arg =
     let doc = "Workload: pages (random transactional page writes) or tpcb." in
-    Arg.(value & opt string "tpcb" & info [ "workload" ] ~docv:"W" ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("pages", `Pages); ("tpcb", `Tpcb) ]) `Tpcb
+      & info [ "workload" ] ~docv:"W" ~doc)
   in
   let verbose_arg =
     let doc = "Print every run's outcome, not just violations." in
     Arg.(value & flag & info [ "verbose" ] ~doc)
   in
-  let run backend workload txns seed points crash_point verbose mpl ndisks
+  let run setup workload txns seed points crash_point verbose mpl ndisks
       log_disk log_streams lock_grain =
-    let usage msg =
-      prerr_endline ("txnlfs faultsim: " ^ msg);
-      exit 2
-    in
-    let backend =
-      try Sweep.backend_of_string backend
-      with Invalid_argument _ ->
-        usage ("unknown backend " ^ backend ^ " (lfs-kernel, lfs-user, ffs-user)")
+    let config =
+      machine_config ~ndisks ~log_disk ~log_streams ~lock_grain
+        (Sweep.config setup)
     in
     let one, swp =
-      match (workload, mpl) with
-      | "pages", 1 ->
-        ( Sweep.run_one ~ndisks ~log_disk ~log_streams,
-          Sweep.sweep ~ndisks ~log_disk ~log_streams )
-      | "pages", _ -> usage "--mpl applies to the tpcb workload only"
-      | "tpcb", _ ->
-        ( (fun backend ~seed ~txns ?crash_point () ->
-            Sweep.run_one_tpcb_mpl ~ndisks ~log_disk ~log_streams ~lock_grain
-              backend ~seed ~txns ~mpl ?crash_point ()),
-          fun ?progress backend ~seed ~txns ~points ->
-            Sweep.sweep_tpcb_mpl ?progress ~ndisks ~log_disk ~log_streams
-              ~lock_grain backend ~seed ~txns ~mpl ~points )
-      | w, _ -> usage ("unknown workload " ^ w ^ " (pages, tpcb)")
+      match workload with
+      | `Pages ->
+        ( (fun p -> Sweep.run_one ~config setup ~seed ~txns ~crash_point:p ()),
+          fun progress ->
+            Sweep.sweep ~progress ~config setup ~seed ~txns ~points )
+      | `Tpcb ->
+        ( (fun p ->
+            Sweep.run_one_tpcb_mpl ~config setup ~seed ~txns ~mpl
+              ~crash_point:p ()),
+          fun progress ->
+            Sweep.sweep_tpcb_mpl ~progress ~config setup ~seed ~txns ~mpl
+              ~points )
     in
-    if lock_grain = `Record && workload <> "tpcb" then
-      usage "--lock-grain record applies to the tpcb workload only";
-    match crash_point with
-    | Some p ->
-      let o = one backend ~seed ~txns ~crash_point:p () in
+    let tpcb_only flag =
+      `Error (true, flag ^ " applies to the tpcb workload only")
+    in
+    match (workload, crash_point) with
+    | `Pages, _ when mpl > 1 -> tpcb_only "--mpl"
+    | `Pages, _ when lock_grain = `Record -> tpcb_only "--lock-grain record"
+    | _, Some p ->
+      let o = one p in
       print_endline (Sweep.describe o);
-      if o.Sweep.violations <> [] then exit 1
-    | None ->
-      let progress o = if verbose then print_endline (Sweep.describe o) in
-      let r = swp ~progress backend ~seed ~txns ~points in
+      if o.Sweep.violations <> [] then exit 1;
+      `Ok ()
+    | _, None ->
+      let r = swp (fun o -> if verbose then print_endline (Sweep.describe o)) in
       List.iter (fun o -> print_endline (Sweep.describe o)) r.Sweep.failures;
       Printf.printf
         "%s/%s seed=%d: swept %d of %d crash points, %d violation(s)\n"
-        (Sweep.backend_name backend)
-        workload seed r.Sweep.points_run r.Sweep.total_writes
+        (Machine.key setup)
+        (match workload with `Pages -> "pages" | `Tpcb -> "tpcb")
+        seed r.Sweep.points_run r.Sweep.total_writes
         (List.length r.Sweep.failures);
-      if r.Sweep.failures <> [] then exit 1
+      if r.Sweep.failures <> [] then exit 1;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "faultsim"
@@ -595,9 +609,10 @@ let faultsim_cmd =
          "Crash after every k-th disk write, recover, and check the \
           durability oracle")
     Term.(
-      const run $ backend_arg $ workload_arg $ txns_arg 25 $ seed_arg
-      $ points_arg $ crash_point_arg $ verbose_arg $ mpl_arg $ ndisks_arg
-      $ log_disk_arg $ log_streams_arg $ lock_grain_arg)
+      ret
+        (const run $ backend_arg $ workload_arg $ txns_arg 25 $ seed_arg
+        $ points_arg $ crash_point_arg $ verbose_arg $ mpl_arg $ ndisks_arg
+        $ log_disk_arg $ log_streams_arg $ lock_grain_arg))
 
 let main =
   Cmd.group

@@ -6,16 +6,17 @@ type injector = {
 }
 
 (* A read parked in the live request queue, waiting for the server
-   process to reach it. Bytes are captured at SERVICE time, not submit
-   time: a synchronous multi-block write holds the device and only
-   persists its run when its service delay elapses, so a read queued
-   behind it must return the post-write platter — that is what the
-   physical head reads once it finally reaches the sectors. Capturing at
-   submit once handed a committer a zeroed snapshot of a block whose
-   in-flight write carried the real bytes; the address had already been
-   updated when the read was issued, so the caller's relocation chase
-   could not catch it. [persist] is a single atomic blit with no yield
-   inside, so a service-time capture never observes a torn run. *)
+   process to reach it. The rule that keeps queued reads honest: a
+   write persists its bytes when it is ISSUED, and only then waits for
+   the arm and pays its service time; a queued read captures the platter
+   when the server reaches it. So every read issued after a write
+   returns that write's bytes, whichever of the two gets the arm first.
+   It must: a writer may park in [wait_device] while the server owns
+   the arm and serves a read queued at the same address, and LFS points
+   an inode at a block's new address before the segment write is
+   issued, so a reader cannot tell an old image from the current one.
+   [persist] is a single atomic blit with no yield inside, so a capture
+   never observes a torn run. *)
 type pending = {
   p_blkno : int;
   p_nblocks : int;
@@ -238,9 +239,10 @@ let read_run t blkno n =
   retry_reads t blkno n;
   Bytes.sub t.data (blkno * t.cfg.block_size) (n * t.cfg.block_size)
 
-(* Persist [data] at [blkno], honouring the injector: only the first
-   [keep] blocks reach the platter, and if the injector truncated or
-   ended the run it also kills the machine — the write never returns.
+(* Persist [data] at [blkno] as the write is issued (see [pending]),
+   honouring the injector: only the first [keep] blocks reach the
+   platter, and if the injector truncated or ended the run it also
+   kills the machine — the write never returns.
    Power failure is modelled at sector granularity: individual blocks
    are atomic, multi-block runs tear on a block boundary. *)
 let persist t blkno data =
@@ -260,8 +262,9 @@ let write_blocks t blkno data =
   if len = 0 || len mod bs <> 0 then
     invalid_arg "Disk.write: data must be a positive whole number of blocks";
   let n = len / bs in
-  serve t blkno ~nblocks:n ~write:true;
-  persist t blkno data
+  check_range t blkno n;
+  persist t blkno data;
+  serve t blkno ~nblocks:n ~write:true
 
 let write t blkno data =
   if Bytes.length data <> t.cfg.block_size then
@@ -271,8 +274,9 @@ let write t blkno data =
 let write_queued t blkno data =
   if Bytes.length data <> t.cfg.block_size then
     invalid_arg "Disk.write_queued: data must be exactly one block";
-  serve ~queued:true t blkno ~nblocks:1 ~write:true;
-  persist t blkno data
+  check_range t blkno 1;
+  persist t blkno data;
+  serve ~queued:true t blkno ~nblocks:1 ~write:true
 
 let write_run t blkno data = write_blocks t blkno data
 

@@ -26,10 +26,10 @@ exception Injected_crash
 
 type injector = {
   on_write : blkno:int -> nblocks:int -> int;
-      (** Consulted once per write request, after service time is
-          charged. Returns how many leading blocks of the request
-          actually persist; anything less than [nblocks] tears the
-          request at that block boundary and raises
+      (** Consulted once per write request, when it is issued and
+          before its service time is charged. Returns how many leading
+          blocks of the request actually persist; anything less than
+          [nblocks] tears the request at that block boundary and raises
           {!Injected_crash}. *)
   on_read : blkno:int -> nblocks:int -> bool;
       (** Consulted after each read; [true] injects one transient error:
@@ -66,12 +66,16 @@ val read_async : t -> int -> bytes
     device queue: a server process picks requests by C-LOOK elevator
     order from the current head position, holds the device for the
     service time while other processes run, then wakes the submitter.
-    Block contents are captured at submit time — only the timing is
-    asynchronous. Outside a scheduler this is exactly {!read}. *)
+    Block contents are captured when the server reaches the request;
+    since every write persists its bytes as it is issued (before it
+    waits for the arm), a queued read returns the bytes of every write
+    issued before it. Outside a scheduler this is exactly {!read}. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t blkno data] services a one-block write. [data] must be
-    exactly one block long. *)
+    exactly one block long. The bytes reach the platter when the write
+    is issued; the caller then waits for the arm (under a scheduler) and
+    pays the service time. *)
 
 val queue_depth : t -> int
 (** Outstanding {!read_async} requests at this spindle, including the

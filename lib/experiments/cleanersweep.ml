@@ -54,10 +54,11 @@ let arm_key a =
    cold mass whose treatment separates the policies.  The floor keeps the
    prefill out of the cleaner's low-water territory, so the measured run
    starts clean-free at every utilization. *)
-let prefill ~util_pct _m (vfs : Vfs.t) lfs =
-  match lfs with
+let prefill ~util_pct m =
+  match Machine.lfs m with
   | None -> ()
   | Some fs ->
+    let vfs = Machine.vfs m in
     let cfg = (Lfs.config fs).Config.fs in
     let nseg = Lfs.nsegments fs in
     let target_free =
@@ -106,7 +107,7 @@ let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(utils = default_utils)
                 let prepare = prefill ~util_pct in
                 let run =
                   Expcommon.run_tpcb_mpl ~prepare ~config:cfg ~scale ~txns ~seed
-                    ~mpl Expcommon.Lfs_kernel
+                    ~mpl Machine.Lfs_kernel
                 in
                 let stats = run.Expcommon.stats in
                 let moved = Stats.count stats "cleaner.blocks_moved" in
@@ -137,7 +138,7 @@ let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(utils = default_utils)
     scale;
     txns;
     config = base;
-    setup = Expcommon.Lfs_kernel;
+    setup = Machine.Lfs_kernel;
   }
 
 let point_json p =

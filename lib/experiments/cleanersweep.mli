@@ -34,7 +34,7 @@ type point = {
 }
 
 type t = point Expcommon.sweep
-(** [setup] is always {!Expcommon.Lfs_kernel}. *)
+(** [setup] is always {!Machine.Lfs_kernel}. *)
 
 val default_utils : int list
 (** [[50; 70; 80; 90]] *)

@@ -55,7 +55,7 @@ let disk_stat stats prefix =
   }
 
 let run ?(tps_scale = 2) ?(txns = 1_000) ?(seed = 1) ?(mpls = default_mpls)
-    ?(setups = default_setups) ?(setup = Expcommon.Lfs_user) () =
+    ?(setups = default_setups) ?(setup = Machine.Lfs_user) () =
   let base = Expcommon.scaled_config tps_scale in
   let scale = Expcommon.spread_scale ~accounts_per_tps:100_000 tps_scale in
   let points =

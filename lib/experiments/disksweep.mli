@@ -44,7 +44,7 @@ val run :
   ?seed:int ->
   ?mpls:int list ->
   ?setups:(string * int * bool) list ->
-  ?setup:Expcommon.setup ->
+  ?setup:Machine.setup ->
   unit ->
   t
 

@@ -1,41 +1,5 @@
-type machine = {
-  cfg : Config.t;
-  clock : Clock.t;
-  stats : Stats.t;
-  disks : Diskset.t;
-}
-
-let machine ?route_checkpoints cfg =
-  let clock = Clock.create () in
-  let stats = Stats.create () in
-  { cfg; clock; stats; disks = Diskset.create ?route_checkpoints clock stats cfg }
-
-let wal_env m data_vfs ~pool_pages =
-  match Diskset.log_disks m.disks with
-  | [||] ->
-    Libtp.open_env m.clock m.stats m.cfg data_vfs ~pool_pages
-      ~log_path:"/tpcb/log" ()
-  | lds ->
-    let log_vfss =
-      Array.map (fun ld -> Ffs.vfs (Ffs.format ld m.clock m.stats m.cfg)) lds
-    in
-    Libtp.open_env m.clock m.stats m.cfg data_vfs ~log_vfss ~pool_pages
-      ~log_path:"/log" ()
-
-type setup = Readopt_user | Lfs_user | Lfs_kernel
-
-let setup_label = function
-  | Readopt_user -> "read-optimized / user-level"
-  | Lfs_user -> "LFS / user-level"
-  | Lfs_kernel -> "LFS / kernel (embedded)"
-
-let setup_key = function
-  | Readopt_user -> "ffs-user"
-  | Lfs_user -> "lfs-user"
-  | Lfs_kernel -> "lfs-kernel"
-
 type tpcb_run = {
-  setup : setup;
+  setup : Machine.setup;
   seed : int;
   result : Tpcb.result;
   cleaner_stall_s : float;
@@ -54,62 +18,29 @@ let scaled_config ?config tps_scale =
 let on_demand_cleaner (c : Config.t) =
   { c with Config.fs = { c.Config.fs with Config.cleaner_adaptive = false } }
 
-let run_window m ?lfs db backend ~rng ~txns ~mpl =
-  (* Everything before the window (format, build, prepare) ran outside
-     any process; only the measured transactions run on the scheduler. *)
-  let sched = Sched.create m.clock in
-  Fun.protect
-    ~finally:(fun () -> Sched.detach sched)
-    (fun () ->
-      (match lfs with Some fs -> Lfs.start_background fs | None -> ());
-      Tpcb.run_sched m.clock m.stats m.cfg db backend ~rng ~n:txns ~mpl)
-
 let run_tpcb_mpl ?(pool_pages = 1024) ?trace ?prepare ~config ~scale ~txns
     ~seed ~mpl setup =
-  (* Only the kernel-embedded setup leaves the log spindle (if any) free
-     of a file system, so only there may the LFS checkpoint region use it. *)
-  let m = machine ~route_checkpoints:(setup = Lfs_kernel) config in
-  (match trace with
-  | Some cap -> Stats.set_trace m.stats (Some (Trace.create ~capacity:cap ()))
-  | None -> ());
+  let m = Machine.boot ?trace config setup in
   let rng = Rng.create ~seed in
-  let build v = Tpcb.build m.clock m.stats m.cfg v ~rng ~scale in
-  let user v lfs =
-    ignore (build v);
-    (v, Tpcb.User (wal_env m v ~pool_pages), lfs)
-  in
-  let vfs, backend, lfs =
-    match setup with
-    | Readopt_user ->
-      let fs = Ffs.format (Diskset.primary m.disks) m.clock m.stats m.cfg in
-      user (Ffs.vfs fs) None
-    | Lfs_user ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      user (Lfs.vfs fs) (Some fs)
-    | Lfs_kernel ->
-      let fs = Lfs.format m.disks m.clock m.stats m.cfg in
-      let v = Lfs.vfs fs in
-      let db = build v in
-      let k = Ktxn.create fs in
-      Tpcb.protect_all db k;
-      (v, Tpcb.Kernel k, Some fs)
-  in
-  (match prepare with Some f -> f m vfs lfs | None -> ());
-  let db = Tpcb.open_db vfs ~scale in
+  ignore (Machine.build m ~rng ~scale);
+  let backend = Machine.open_txn m ~pool_pages in
+  Option.iter (fun f -> f m) prepare;
+  let db = Tpcb.open_db (Machine.vfs m) ~scale in
   (* Measure the transaction phase only, like the paper. Cleaner stall
      accounting is also restricted to the measured window. *)
-  let stall0 = Stats.time m.stats "cleaner.stall" in
-  let multi = run_window m ?lfs db backend ~rng ~txns ~mpl in
+  let stall0 = Stats.time m.Machine.stats "cleaner.stall" in
+  let multi = Machine.run_window m db backend ~rng ~txns ~mpl in
+  let stats = m.Machine.stats in
   {
     setup;
     seed;
     result = multi.Tpcb.base;
-    cleaner_stall_s = Stats.time m.stats "cleaner.stall" -. stall0;
-    cleaner_max_stall_s = Stats.max_of m.stats "cleaner.max_stall";
+    cleaner_stall_s = Stats.time stats "cleaner.stall" -. stall0;
+    cleaner_max_stall_s = Stats.max_of stats "cleaner.max_stall";
     lock_blocks = multi.Tpcb.conflicts;
     deadlocks = multi.Tpcb.deadlocks;
     restarts = multi.Tpcb.restarts;
-    stats = m.stats;
+    stats;
   }
 
 let mean xs =
@@ -281,7 +212,7 @@ let result_fields (r : tpcb_run) =
 
 let tpcb_run_json r =
   Json.Obj
-    ([ ("setup", Json.Str (setup_key r.setup)); ("seed", Json.Int r.seed) ]
+    ([ ("setup", Json.Str (Machine.key r.setup)); ("seed", Json.Int r.seed) ]
     @ result_fields r
     @ [
         ("cleaner_max_stall_s", Json.Float r.cleaner_max_stall_s);
@@ -303,7 +234,7 @@ type 'p sweep = {
   scale : Tpcb.scale;
   txns : int;
   config : Config.t;
-  setup : setup;
+  setup : Machine.setup;
 }
 
 let spread_scale ~accounts_per_tps tps =
@@ -316,12 +247,12 @@ let spread_scale ~accounts_per_tps tps =
 let pp_sweep_header title s =
   pp_header
     (Printf.sprintf "%s: %s, TPC-B, %d accounts, %d txns per point" title
-       (setup_label s.setup) s.scale.Tpcb.accounts s.txns)
+       (Machine.label s.setup) s.scale.Tpcb.accounts s.txns)
 
 let sweep_json ~figure ?(with_setup = true) point_json s =
+  let setup = [ ("setup", Json.Str (Machine.key s.setup)) ] in
   Json.Obj
-    ((("figure", Json.Str figure)
-     :: (if with_setup then [ ("setup", Json.Str (setup_key s.setup)) ] else []))
+    ((("figure", Json.Str figure) :: (if with_setup then setup else []))
     @ [
         ("scale", scale_json s.scale);
         ("txns", Json.Int s.txns);

@@ -1,40 +1,9 @@
-(** Shared machinery for the paper-reproduction experiments: booting
-    machines, building TPC-B databases on either file system, running the
-    transaction phase under any of the three configurations on the
-    discrete-event scheduler, and small statistics helpers. *)
-
-type machine = {
-  cfg : Config.t;
-  clock : Clock.t;
-  stats : Stats.t;
-  disks : Diskset.t;  (** spindles per [cfg.fs.ndisks] / [cfg.fs.log_disk] *)
-}
-
-val machine : ?route_checkpoints:bool -> Config.t -> machine
-(** Boot clock, stats and the disk set of [cfg]. [route_checkpoints]
-    (default false) is passed to {!Diskset.create}: only set it when the
-    log spindle will not host a file system of its own. *)
-
-val wal_env : machine -> Vfs.t -> pool_pages:int -> Libtp.t
-(** Open the user-level transaction environment over the data file
-    system. With dedicated log spindles each WAL stream lives in a small
-    FFS on its own spindle, so commit forces never move the data heads
-    (nor, with several streams, contend for one log arm); otherwise the
-    streams are files in the data file system. *)
-
-(** The three measured configurations of Figure 4. *)
-type setup =
-  | Readopt_user  (** user-level transactions on the read-optimized FS *)
-  | Lfs_user  (** user-level transactions on LFS *)
-  | Lfs_kernel  (** the embedded transaction manager in LFS *)
-
-val setup_label : setup -> string
-
-val setup_key : setup -> string
-(** Short machine-readable slug ([ffs-user], [lfs-user], [lfs-kernel]). *)
+(** Shared machinery for the paper-reproduction experiments: one TPC-B
+    run on any of the three {!Machine} setups, the artifact envelope and
+    checks, and small statistics helpers. *)
 
 type tpcb_run = {
-  setup : setup;
+  setup : Machine.setup;
   seed : int;
   result : Tpcb.result;
   cleaner_stall_s : float;  (** total time the system stalled cleaning *)
@@ -55,40 +24,28 @@ val on_demand_cleaner : Config.t -> Config.t
     segments drop below low water (the paper's cleaner), never ahead of
     need while the disk idles. Figures 4-7 pin this. *)
 
-val run_window :
-  machine ->
-  ?lfs:Lfs.t ->
-  Tpcb.db ->
-  Tpcb.backend ->
-  rng:Rng.t ->
-  txns:int ->
-  mpl:int ->
-  Tpcb.multi_result
-(** The measured window: attach a {!Sched} to the machine's clock, start
-    [lfs]'s syncer and cleaner as background processes, run [txns]
-    transactions with {!Tpcb.run_sched} at [mpl] workers, and detach.
-    Setup before the window runs outside any process. *)
-
 val run_tpcb_mpl :
   ?pool_pages:int ->
   ?trace:int ->
-  ?prepare:(machine -> Vfs.t -> Lfs.t option -> unit) ->
+  ?prepare:(Machine.t -> unit) ->
   config:Config.t ->
   scale:Tpcb.scale ->
   txns:int ->
   seed:int ->
   mpl:int ->
-  setup ->
+  Machine.setup ->
   tpcb_run
-(** Boot a fresh machine, build the database, and run [txns]
-    transactions at multiprogramming level [mpl] through {!run_window};
-    [mpl = 1] is the paper's single-user run. Reports throughput,
-    cleaner interference and lock contention. [?trace] attaches an
-    event-trace ring of that capacity to the machine's stats before the
-    run; retrieve it via [Stats.trace run.stats]. [?prepare] runs after
-    the database is built but before the measured window — experiments
-    use it to shape the disk (e.g. prefill to a target utilization for
-    cleaner studies); it gets the LFS handle when the setup has one. *)
+(** Boot a fresh {!Machine}, build the database, open the transaction
+    system with a [pool_pages] (default 1024) LIBTP pool, and run [txns]
+    transactions at multiprogramming level [mpl] through
+    {!Machine.run_window}; [mpl = 1] is the paper's single-user run.
+    Reports throughput, cleaner interference and lock contention.
+    [?trace] attaches an event-trace ring of that capacity to the
+    machine's stats before the run; retrieve it via
+    [Stats.trace run.stats]. [?prepare] runs after the transaction
+    system opens but before the measured window — experiments use it to
+    shape the disk (e.g. prefill to a target utilization for cleaner
+    studies). *)
 
 val mean : float list -> float
 val stdev : float list -> float
@@ -138,7 +95,7 @@ type 'p sweep = {
   scale : Tpcb.scale;
   txns : int;  (** transactions per point *)
   config : Config.t;  (** the base configuration before per-point edits *)
-  setup : setup;
+  setup : Machine.setup;
 }
 
 val spread_scale : accounts_per_tps:int -> int -> Tpcb.scale

@@ -1,5 +1,5 @@
 type bar = {
-  setup : Expcommon.setup;
+  setup : Machine.setup;
   tps_mean : float;
   tps_sd : float;
   per_seed : float list;
@@ -13,9 +13,9 @@ type t = { bars : bar list; scale : Tpcb.scale; txns : int; config : Config.t }
 let default_tps_scale = 4
 
 let paper_value = function
-  | Expcommon.Readopt_user -> Some 12.3
-  | Expcommon.Lfs_user -> Some 13.6
-  | Expcommon.Lfs_kernel -> None (* "comparable to user level" *)
+  | Machine.Ffs_user -> Some 12.3
+  | Machine.Lfs_user -> Some 13.6
+  | Machine.Lfs_kernel -> None (* "comparable to user level" *)
 
 let run ?config ?(tps_scale = default_tps_scale) ?(txns = 20_000)
     ?(seeds = [ 1; 2; 3 ]) () =
@@ -43,7 +43,7 @@ let run ?config ?(tps_scale = default_tps_scale) ?(txns = 20_000)
   {
     bars =
       List.map bar
-        [ Expcommon.Readopt_user; Expcommon.Lfs_user; Expcommon.Lfs_kernel ];
+        [ Machine.Ffs_user; Machine.Lfs_user; Machine.Lfs_kernel ];
     scale;
     txns;
     config;
@@ -61,7 +61,7 @@ let to_json t =
              (fun b ->
                Json.Obj
                  [
-                   ("setup", Json.Str (Expcommon.setup_key b.setup));
+                   ("setup", Json.Str (Machine.key b.setup));
                    ("tps_mean", Json.Float b.tps_mean);
                    ("tps_sd", Json.Float b.tps_sd);
                    ( "per_seed",
@@ -86,7 +86,7 @@ let print t =
   List.iter
     (fun b ->
       Printf.printf "%-30s %10.2f %8.2f %13.1fs %10s\n"
-        (Expcommon.setup_label b.setup)
+        (Machine.label b.setup)
         b.tps_mean b.tps_sd b.cleaner_stall_mean_s
         (match b.paper_tps with Some v -> Printf.sprintf "%.1f" v | None -> "~user"))
     t.bars;

@@ -14,31 +14,26 @@ let elapsed_of phases = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 phases
 (* All three benchmarks run on LFS (the modified operating system), with
    and without the embedded transaction manager compiled in. *)
 let measure config bench =
-  let m = Expcommon.machine config in
-  let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-  (bench m fs, m.Expcommon.stats)
+  let m = Machine.boot config Machine.Lfs_user in
+  (bench m, m.Machine.stats)
 
-let andrew_bench m fs =
-  let t0 = Clock.now m.Expcommon.clock in
+let andrew_bench (m : Machine.t) =
+  let t0 = Clock.now m.clock in
   ignore
-    (Workloads.andrew m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg
-       (Lfs.vfs fs) (Rng.create ~seed:5) Workloads.default_andrew);
-  Clock.now m.Expcommon.clock -. t0
+    (Workloads.andrew m.clock m.stats m.cfg (Machine.vfs m) (Rng.create ~seed:5)
+       Workloads.default_andrew);
+  Clock.now m.clock -. t0
 
-let bigfile_bench m fs =
+let bigfile_bench (m : Machine.t) =
   elapsed_of
-    (Workloads.bigfile m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg
-       (Lfs.vfs fs) (Rng.create ~seed:5) Workloads.default_bigfile)
+    (Workloads.bigfile m.clock m.stats m.cfg (Machine.vfs m)
+       (Rng.create ~seed:5) Workloads.default_bigfile)
 
-let user_tp_bench tps_scale txns m fs =
-  let scale = Tpcb.scale_for_tps tps_scale in
+let user_tp_bench tps_scale txns m =
   let rng = Rng.create ~seed:5 in
-  let v = Lfs.vfs fs in
-  let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-  let env = Expcommon.wal_env m v ~pool_pages:1024 in
-  let r =
-    Expcommon.run_window m ~lfs:fs db (Tpcb.User env) ~rng ~txns ~mpl:1
-  in
+  let db = Machine.build m ~rng ~scale:(Tpcb.scale_for_tps tps_scale) in
+  let backend = Machine.open_txn m ~pool_pages:1024 in
+  let r = Machine.run_window m db backend ~rng ~txns ~mpl:1 in
   r.Tpcb.base.Tpcb.elapsed_s
 
 let run ?config ?(tps_scale = 2) () =

@@ -13,37 +13,32 @@ let run ?config ?(tps_scale = 4) ?(txns = 20_000) ?(seed = 1) () =
     Expcommon.on_demand_cleaner (Expcommon.scaled_config ?config tps_scale)
   in
   let scale = Tpcb.scale_for_tps tps_scale in
-  let one which =
-    let m = Expcommon.machine config in
+  let one setup =
+    let m = Machine.boot config setup in
     let rng = Rng.create ~seed in
-    let v, lfs, contiguity =
-      match which with
-      | `Readopt ->
-        let fs = Ffs.format (Diskset.primary m.Expcommon.disks) m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-        (Ffs.vfs fs, None, fun () -> Some (Ffs.contiguity fs "/tpcb/account"))
-      | `Lfs ->
-        let fs = Lfs.format m.Expcommon.disks m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg in
-        (Lfs.vfs fs, Some fs, fun () -> None)
-    in
-    let db = Tpcb.build m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v ~rng ~scale in
-    let env = Expcommon.wal_env m v ~pool_pages:1024 in
-    let r = Expcommon.run_window m ?lfs db (Tpcb.User env) ~rng ~txns ~mpl:1 in
+    let db = Machine.build m ~rng ~scale in
+    let backend = Machine.open_txn m ~pool_pages:1024 in
+    let r = Machine.run_window m db backend ~rng ~txns ~mpl:1 in
     (* Flush everything so the scan measures the on-disk layout, not the
        caches' leftovers. *)
-    Libtp.checkpoint env;
+    (match backend with
+    | Tpcb.User env -> Libtp.checkpoint env
+    | Tpcb.Kernel _ -> ());
+    let v = Machine.vfs m in
     v.Vfs.sync ();
-    let scan_s =
-      Workloads.scan m.Expcommon.clock m.Expcommon.stats m.Expcommon.cfg v db
-    in
+    let scan_s = Workloads.scan m.clock m.stats m.cfg v db in
     {
       fs_name = v.Vfs.name;
       tps = r.Tpcb.base.Tpcb.tps;
       scan_s;
-      contiguity = contiguity ();
-      stats = m.Expcommon.stats;
+      contiguity =
+        (match m.fs with
+        | Machine.Ffs fs -> Some (Ffs.contiguity fs "/tpcb/account")
+        | Machine.Lfs _ -> None);
+      stats = m.stats;
     }
   in
-  { readopt = one `Readopt; lfs = one `Lfs; txns; config }
+  { readopt = one Machine.Ffs_user; lfs = one Machine.Lfs_user; txns; config }
 
 let side_json s =
   Json.Obj

@@ -33,7 +33,7 @@ let force_p99s stats streams =
 
 let run ?(tps_scale = 2) ?(txns = 1_500) ?(seed = 1)
     ?(streams = default_streams) ?(mpls = default_mpls)
-    ?(setup = Expcommon.Lfs_user) () =
+    ?(setup = Machine.Lfs_user) () =
   let base = Expcommon.scaled_config tps_scale in
   (* Unlike the MPL and disk sweeps, the account relation is kept small
      enough to stay buffer-pool resident.  A disk-resident account

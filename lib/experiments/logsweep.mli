@@ -39,7 +39,7 @@ val run :
   ?seed:int ->
   ?streams:int list ->
   ?mpls:int list ->
-  ?setup:Expcommon.setup ->
+  ?setup:Machine.setup ->
   unit ->
   t
 

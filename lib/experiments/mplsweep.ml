@@ -31,10 +31,10 @@ let grain_key = Config.name_of Config.lock_grains
 (* The commit-path stats of a setup: commit batch, flush count, group
    commit wait and lock wait — the embedded manager's or the WAL's. *)
 let stat_keys = function
-  | Expcommon.Lfs_kernel ->
+  | Machine.Lfs_kernel ->
     ("ktxn.commit_batch", "ktxn.group_flushes", "ktxn.group_commit_wait",
      "ktxn.lock_wait")
-  | Expcommon.Lfs_user | Expcommon.Readopt_user ->
+  | Machine.Lfs_user | Machine.Ffs_user ->
     ("log.commit_batch", "log.forces", "log.group_commit_wait", "txn.lock_wait")
 
 (* Default setup is the user-level system: that is where record-grain
@@ -43,7 +43,7 @@ let stat_keys = function
    whole cached frames — and only relaxes read locks). *)
 let run ?config ?(tps_scale = 2) ?(txns = 2_000) ?(seed = 1)
     ?(mpls = default_mpls) ?(groups = default_groups)
-    ?(grains = default_grains) ?(setup = Expcommon.Lfs_user) () =
+    ?(grains = default_grains) ?(setup = Machine.Lfs_user) () =
   let base = Expcommon.scaled_config ?config tps_scale in
   (* The account relation keeps its official size. *)
   let scale = Expcommon.spread_scale ~accounts_per_tps:100_000 tps_scale in

@@ -36,10 +36,10 @@ val run :
   ?mpls:int list ->
   ?groups:(int * float) list ->
   ?grains:[ `Page | `Record ] list ->
-  ?setup:Expcommon.setup ->
+  ?setup:Machine.setup ->
   unit ->
   t
-(** Default [setup] is {!Expcommon.Lfs_user}: record granularity changes
+(** Default [setup] is {!Machine.Lfs_user}: record granularity changes
     end-to-end behaviour only in the user-level system (the embedded
     kernel manager keeps page-exclusive writes). *)
 

@@ -57,9 +57,8 @@ type t = {
   mutable cp_seq : int64;
   mutable segs_since_cp : int;
   mutable last_syncer : float;
-  mutable maint : int list;
-  (* Owner tags of the maintenance sections currently open; see
-     [maint_enter] below. *)
+  mutable maint : int;
+  (* Maintenance sections currently open; see [maint_enter] below. *)
   (* Partial-segment writes mutate the shared cursor/usage/imap state
      and park on disk I/O partway through; under a scheduler two fibers
      (concurrent committers, or a commit racing a checkpoint) must not
@@ -219,43 +218,18 @@ type ditem = {
 
 (* Maintenance sections: paths that relocate or flush blocks (cleaner,
    syncer, checkpoint, commit forces) update shared block addresses and
-   then park in disk I/O partway through. [t.maint] holds the owner tag
-   of every section currently open — the scheduler process id when
-   entered from a process, [0] otherwise (a wildcard: plain synchronous
-   contexts and the read-only snapshot view cover every caller).
-   Sections overlap under a scheduler (one group-commit flush parks in
-   its segment write while the next begins), so the tags form a
-   multiset, not a single slot: save-and-restore of a scalar here once
-   resurrected an already-finished owner and left the background
-   daemons gated off for the rest of the run. The tag exists because
-   only a process that OWNS an open section may stay on [get_page]'s
-   synchronous platter-read branch. Any other process must join the
-   disk queue, which serializes its read behind the in-flight segment
-   write; reading the platter directly there returns stale bytes for
-   blocks whose inode address was already flipped to the in-flight
-   segment. *)
-let maint_self t =
-  match Sched.of_clock t.clock with
-  | Some s when Sched.in_process s -> Sched.self s
-  | _ -> 0
-
-let maint_enter t =
-  let id = maint_self t in
-  t.maint <- id :: t.maint;
-  id
-
-let maint_exit t id =
-  let rec drop = function
-    | [] -> []
-    | x :: tl -> if x = id then tl else x :: drop tl
-  in
-  t.maint <- drop t.maint
-
-let maint_idle t = t.maint = []
-
-let maint_here t sched =
-  let self = Sched.self sched in
-  List.exists (fun o -> o = 0 || o = self) t.maint
+   then park in disk I/O partway through. [t.maint] counts the sections
+   currently open; sections overlap under a scheduler (one group-commit
+   flush parks in its segment write while the next begins), so it is a
+   count, not a flag. While any is open the inline syncer, the emergency
+   clean and the background daemons stay out. Readers need no such
+   gate: a cache miss from a process joins the disk queue, and the disk
+   persists every write when it is issued, so a queued read of a block's
+   new address returns the new bytes even while the segment write that
+   carries them still waits for the arm. *)
+let maint_enter t = t.maint <- t.maint + 1
+let maint_exit t = t.maint <- t.maint - 1
+let maint_idle t = t.maint = 0
 
 type inode_plan = {
   pi_inode : Inode.t;
@@ -810,25 +784,19 @@ let dirty_inodes t =
 
 let checkpoint t =
   let cp_t0 = Clock.now t.clock in
-  let maint_tok = maint_enter t in
+  maint_enter t;
   (* A checkpoint must leave the on-disk state self-consistent: flush the
      eligible dirty data first (transaction-owned buffers stay pinned),
-     so no inode reaches disk describing data that is only in memory. *)
-  (* Files with transaction-pinned buffers keep their older on-disk inode
-     until commit forces the buffers. *)
-  let file_has_txn_frames inum =
-    List.exists
-      (fun (f : Cache.frame) -> f.Cache.txn >= 0)
-      (Cache.file_frames t.cache inum)
-  in
-  let flushable =
-    List.filter
-      (fun (ino : Inode.t) -> not (file_has_txn_frames ino.Inode.inum))
-      (dirty_inodes t)
-  in
+     so no inode reaches disk describing data that is only in memory.
+     Every dirty inode goes out, including those of files with pinned
+     buffers: a pinned buffer never reaches the log, so its inode still
+     maps it to the committed block. Holding such an inode back would
+     lose committed updates: the checkpoint moves roll-forward past the
+     commit partials before it, and their deferred block addresses live
+     only in that inode. *)
   log_write t
     ~ditems:(dirty_ditems (Cache.dirty_frames t.cache ()))
-    ~inodes:flushable;
+    ~inodes:(dirty_inodes t);
   (* Then every dirty imap chunk and the whole usage table, and finally
      the alternating checkpoint region. *)
   let imap_chunks =
@@ -871,7 +839,7 @@ let checkpoint t =
         ("seq", Trace.I (Int64.to_int t.cp_seq));
         ("duration_s", Trace.F (Clock.now t.clock -. cp_t0));
       ];
-  maint_exit t maint_tok
+  maint_exit t
 
 (* Cleaner --------------------------------------------------------------- *)
 
@@ -1065,7 +1033,7 @@ let clean_once ?policy t =
   let policy =
     match policy with Some p -> p | None -> t.cfg.fs.cleaner_policy
   in
-  let maint_tok = maint_enter t in
+  maint_enter t;
   let r =
     match
       Policy.choose ~policy ~nsegments:(nsegments t)
@@ -1077,7 +1045,7 @@ let clean_once ?policy t =
     | None -> false
     | Some victim -> clean_victim t victim
   in
-  maint_exit t maint_tok;
+  maint_exit t;
   r
 
 let maybe_clean t =
@@ -1138,12 +1106,12 @@ let maybe_clean t =
 
 (* One syncer pass: flush everything dirty as a segment write. *)
 let syncer_run t =
-  let maint_tok = maint_enter t in
+  maint_enter t;
   t.last_syncer <- Clock.now t.clock;
   let frames = Cache.dirty_frames t.cache () in
   log_write t ~ditems:(dirty_ditems frames) ~inodes:(dirty_inodes t);
   Stats.incr t.stats "lfs.syncer_runs";
-  maint_exit t maint_tok
+  maint_exit t
 
 (* Syncer + maintenance hook executed at every public operation. When
    the syncer and cleaner run as background processes ([start_background])
@@ -1259,11 +1227,9 @@ let get_page t ~inum ~lblock =
     let ino = iget t inum in
     let addr = Inode.get_addr ino lblock in
     match Sched.of_clock t.clock with
-    | Some sched
-      when Sched.in_process sched && (not (maint_here t sched)) && addr <> 0 ->
+    | Some sched when Sched.in_process sched && addr <> 0 ->
       (* Cache miss under the scheduler: the read joins the live disk
-         queue and this process parks. LFS maintenance paths stay on the
-         synchronous branch — they must not yield mid-write. *)
+         queue and this process parks. *)
       let rec fetch addr =
         let data = Diskset.read_async t.disk addr in
         (* Another process may have brought the page in (and dirtied it)
@@ -1327,29 +1293,29 @@ let force_frames t frames =
        done
      | _ -> ());
   tick t;
-  let maint_tok = maint_enter t in
+  maint_enter t;
   log_write ~defer_meta:true ~atomic:true t ~ditems:(dirty_ditems frames)
     ~inodes:[];
-  maint_exit t maint_tok
+  maint_exit t
 
 let fsync_inum t inum =
   check_alive t;
-  let maint_tok = maint_enter t in
+  maint_enter t;
   let frames = Cache.dirty_frames t.cache ~file:inum () in
   let inodes = match iget_opt t inum with
     | Some ino when ino.Inode.dirty -> [ ino ]
     | _ -> []
   in
   log_write t ~ditems:(dirty_ditems frames) ~inodes;
-  maint_exit t maint_tok
+  maint_exit t
 
 let sync t =
   check_alive t;
-  let maint_tok = maint_enter t in
+  maint_enter t;
   let frames = Cache.dirty_frames t.cache () in
   log_write t ~ditems:(dirty_ditems frames) ~inodes:[];
   checkpoint t;
-  maint_exit t maint_tok
+  maint_exit t
 
 (* Byte-level file I/O --------------------------------------------------- *)
 
@@ -1539,7 +1505,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       cp_seq = 0L;
       segs_since_cp = 0;
       last_syncer = Clock.now clock;
-      maint = [];
+      maint = 0;
       seg_writing = false;
       seg_write_cond = Sched.condition ();
       pending_cp = false;
@@ -1552,10 +1518,10 @@ let make_empty disk clock stats (cfg : Config.t) sb =
   Cache.set_writeback t.cache (fun _victim ->
       (* Cache pressure: flush all eligible dirty blocks as a segment
          write, which leaves the victim clean. *)
-      let maint_tok = maint_enter t in
+      maint_enter t;
       let frames = Cache.dirty_frames t.cache () in
       log_write t ~ditems:(dirty_ditems frames) ~inodes:[];
-      maint_exit t maint_tok);
+      maint_exit t);
   t
 
 let format disk clock stats (cfg : Config.t) =
@@ -1579,9 +1545,9 @@ let format disk clock stats (cfg : Config.t) =
   (* Root directory. *)
   let inum = alloc_inode t ~kind:Vfs.Dir in
   assert (inum = root_inum);
-  let maint_tok = maint_enter t in
+  maint_enter t;
   checkpoint t;
-  maint_exit t maint_tok;
+  maint_exit t;
   t
 
 (* Mount: load the newest checkpoint, roll forward, rebuild usage. *)
@@ -1852,7 +1818,7 @@ let unmount t =
 
 let coalesce_file t inum =
   check_alive t;
-  let maint_tok = maint_enter t in
+  maint_enter t;
   (match iget_opt t inum with
   | None -> ()
   | Some ino ->
@@ -1882,12 +1848,12 @@ let coalesce_file t inum =
       (* Rewriting a large file consumes clean segments while its old
          blocks die behind us; give the cleaner a chance between
          batches. *)
-      maint_exit t maint_tok;
+      maint_exit t;
       maybe_clean t;
-      ignore (maint_enter t)
+      maint_enter t
     done;
     Stats.incr t.stats "lfs.coalesced_files");
-  maint_exit t maint_tok;
+  maint_exit t;
   maybe_clean t
 
 let contiguity t inum =
@@ -1926,9 +1892,9 @@ let coalesce_all t =
 
 let snapshot t =
   check_alive t;
-  let maint_tok = maint_enter t in
+  maint_enter t;
   checkpoint t;
-  maint_exit t maint_tok;
+  maint_exit t;
   let cp =
     {
       Layout.cp_seq = t.cp_seq;
@@ -2153,7 +2119,7 @@ let snapshot_view t s =
       end)
     view.imap_chunk_addr;
   (* No syncer, no cleaner, no checkpoints: the view never writes. *)
-  view.maint <- [ 0 ];
+  view.maint <- 1;
   let deny _ = Vfs.error Not_supported "snapshot view is read-only" in
   {
     Vfs.name = "lfs-snapshot";

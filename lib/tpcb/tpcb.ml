@@ -65,10 +65,13 @@ let build clock stats cfg (vfs : Vfs.t) ~rng ~scale =
   vfs.Vfs.sync ();
   db
 
+let relations =
+  let pa, pt, pb, ph = paths in
+  [ pa; pt; pb; ph ]
+
 let protect_all db ktxn =
   ignore db;
-  let pa, pt, pb, ph = paths in
-  List.iter (fun p -> Ktxn.protect ktxn p) [ pa; pt; pb; ph ]
+  List.iter (Ktxn.protect ktxn) relations
 
 type result = {
   txns : int;

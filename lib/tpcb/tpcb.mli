@@ -35,6 +35,9 @@ val build :
 val open_db : Vfs.t -> scale:scale -> db
 (** Re-open an existing database (after a remount). *)
 
+val relations : string list
+(** Paths of the four relations under ["/tpcb"]. *)
+
 val protect_all : db -> Ktxn.t -> unit
 (** Mark the four relations transaction-protected (embedded backend). *)
 

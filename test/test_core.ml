@@ -73,6 +73,29 @@ let test_commit_survives_crash () =
     (Bytes.get (Ktxn.read_page sys.Core.ktxn t ~inum ~page:0) 0);
   Ktxn.txn_commit sys.Core.ktxn t
 
+(* A checkpoint taken while another transaction holds pinned buffers of
+   the same file must still write that file's inode: the committed
+   page's new address lives only in memory (commit forces defer the
+   metadata), and the checkpoint moves roll-forward past the commit. *)
+let test_checkpoint_beside_pinned_buffers () =
+  let sys = boot () in
+  let inum = setup_file sys "/db" in
+  let k = sys.Core.ktxn in
+  let t1 = Ktxn.txn_begin k in
+  Ktxn.write_page k t1 ~inum ~page:0 (page sys 'A');
+  Ktxn.txn_commit k t1;
+  let t2 = Ktxn.txn_begin k in
+  Ktxn.write_page k t2 ~inum ~page:1 (page sys 'B');
+  Lfs.checkpoint sys.Core.lfs;
+  let sys = Core.reboot sys in
+  let inum = Lfs.inum_of sys.Core.lfs "/db" in
+  let t = Ktxn.txn_begin sys.Core.ktxn in
+  Alcotest.(check char) "commit durable across the checkpoint" 'A'
+    (Bytes.get (Ktxn.read_page sys.Core.ktxn t ~inum ~page:0) 0);
+  Alcotest.(check char) "uncommitted page absent" '\000'
+    (Bytes.get (Ktxn.read_page sys.Core.ktxn t ~inum ~page:1) 0);
+  Ktxn.txn_commit sys.Core.ktxn t
+
 let test_uncommitted_lost_on_crash () =
   let sys = boot () in
   let inum = setup_file sys "/db" in
@@ -455,6 +478,8 @@ let () =
           Alcotest.test_case "no log file" `Quick test_no_log_exists;
           Alcotest.test_case "commit survives crash" `Quick test_commit_survives_crash;
           Alcotest.test_case "uncommitted lost" `Quick test_uncommitted_lost_on_crash;
+          Alcotest.test_case "checkpoint beside pinned buffers" `Quick
+            test_checkpoint_beside_pinned_buffers;
           Alcotest.test_case "unprotected bypass" `Quick
             test_unprotected_files_bypass_locking;
           Alcotest.test_case "conflict/deadlock" `Quick test_lock_conflict_and_deadlock;

@@ -103,7 +103,7 @@ let prop_elevator_is_permutation =
 
 (* Queued reads under the scheduler: concurrent processes enqueue
    requests, the server daemon serves them in elevator order, and each
-   process gets the bytes that were on the platter at submission. *)
+   process gets the bytes on the platter. *)
 let test_read_async_queue () =
   let c, d = mk () in
   let bs = Disk.block_size d in
@@ -134,6 +134,32 @@ let test_read_async_queue () =
   | x :: rest ->
     Alcotest.(check bool) "single sweep" true (descents x rest <= 1)
   | [] -> Alcotest.fail "nothing served")
+
+(* A write issued while the queue server owns the arm parks until the
+   arm is free; a read queued at the same address after that write was
+   issued must still return the write's bytes, even though the server
+   (which serves queued reads first) reaches it before the writer wakes. *)
+let test_read_after_parked_write () =
+  let c, d = mk () in
+  let bs = Disk.block_size d in
+  Disk.write d 50 (Tutil.payload 1 bs);
+  let fresh = Tutil.payload 2 bs in
+  let sched = Sched.create c in
+  let got = ref Bytes.empty in
+  (* R1 keeps the server busy on a far block. *)
+  Sched.spawn sched (fun () -> ignore (Disk.read_async d 900));
+  (* W issues its write while the server holds the arm. *)
+  Sched.spawn sched (fun () ->
+      Sched.delay sched 0.001;
+      Disk.write d 50 fresh);
+  (* R2 queues a read of the same block after W issued. *)
+  Sched.spawn sched (fun () ->
+      Sched.delay sched 0.002;
+      got := Disk.read_async d 50);
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check bool) "read queued after the write sees its bytes" true
+    (Bytes.equal fresh !got)
 
 let prop_elevator_clook_from_head =
   Tutil.qtest "elevator is C-LOOK-monotone from the head"
@@ -328,6 +354,8 @@ let () =
           Alcotest.test_case "range checks" `Quick test_out_of_range;
           Alcotest.test_case "peek/poke" `Quick test_peek_poke_free;
           Alcotest.test_case "queued reads" `Quick test_read_async_queue;
+          Alcotest.test_case "read queued behind a parked write" `Quick
+            test_read_after_parked_write;
           Alcotest.test_case "queued seek accounting" `Quick
             test_queued_seek_accounting;
         ] );

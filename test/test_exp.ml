@@ -69,7 +69,7 @@ let test_fig7_crossover_math () =
       Fig4.bars =
         [
           {
-            Fig4.setup = Expcommon.Readopt_user;
+            Fig4.setup = Machine.Ffs_user;
             tps_mean = 10.0;
             tps_sd = 0.0;
             per_seed = [ 10.0 ];
@@ -78,7 +78,7 @@ let test_fig7_crossover_math () =
             runs = [];
           };
           {
-            Fig4.setup = Expcommon.Lfs_user;
+            Fig4.setup = Machine.Lfs_user;
             tps_mean = 12.5;
             tps_sd = 0.0;
             per_seed = [ 12.5 ];
@@ -141,7 +141,7 @@ let test_fig7_no_crossover () =
     Fig7.of_measurements
       ~fig4:
         {
-          Fig4.bars = [ bar Expcommon.Readopt_user 10.0; bar Expcommon.Lfs_user 12.0 ];
+          Fig4.bars = [ bar Machine.Ffs_user 10.0; bar Machine.Lfs_user 12.0 ];
           scale = Tpcb.scale_for_tps 1;
           txns = 0;
           config = Config.default;
@@ -454,6 +454,17 @@ let test_check_artifact_names () =
           {|{"meta": {"name": "fig5", "config": {"a": 1}},
              "data": {"counters": {"x": 0}, "histograms": {}}}|}))
 
+(* LIBTP on LFS at MPL 2 with the load-adaptive cleaner: a worker's
+   queued read of a block whose segment write was issued but still
+   waited for the arm once returned the old platter bytes, and the run
+   died with a missing account record. *)
+let test_lfs_user_mpl2_reads () =
+  let r =
+    Expcommon.run_tpcb_mpl ~config:(Expcommon.scaled_config 1)
+      ~scale:(Tpcb.scale_for_tps 1) ~txns:20 ~seed:1 ~mpl:2 Machine.Lfs_user
+  in
+  Alcotest.(check int) "all transactions commit" 20 r.Expcommon.result.Tpcb.txns
+
 let test_stats_helpers () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Expcommon.mean [ 1.0; 2.0; 3.0 ]);
   Alcotest.(check (float 1e-9)) "mean empty" 0.0 (Expcommon.mean []);
@@ -487,6 +498,11 @@ let () =
           Alcotest.test_case "shared point invariants" `Quick
             test_check_shared_invariants;
           Alcotest.test_case "artifact names" `Quick test_check_artifact_names;
+        ] );
+      ( "runs",
+        [
+          Alcotest.test_case "lfs-user MPL 2 reads the current blocks" `Slow
+            test_lfs_user_mpl2_reads;
         ] );
       ("helpers", [ Alcotest.test_case "mean/stdev" `Quick test_stats_helpers ]);
     ]

@@ -1,12 +1,29 @@
 (* Fault-injection harness tests: the injector itself (tearing,
    read-error retries, determinism), short crash-point sweeps per
-   backend that run on every `dune runtest`, and a negative control — a
-   deliberately broken recovery path must make the sweep light up.
+   backend that run on every `dune runtest`, a negative control — a
+   deliberately broken recovery path must make the sweep light up — and
+   a soak of every benchmarked configuration through the oracle.
 
    Set FAULTSIM_FULL=1 for the exhaustive sweeps (every crash point,
    larger workloads); by default those run a small sampled version. *)
 
 let full = Sys.getenv_opt "FAULTSIM_FULL" <> None
+
+(* The sweep machine of [setup] with its placement, locking and disk
+   size adjusted. *)
+let config ?(ndisks = 1) ?(log_disk = false) ?(log_streams = 1)
+    ?(lock_grain = `Page) ?(nblocks = 4096) setup =
+  let c = Sweep.config setup in
+  {
+    c with
+    Config.disk = { c.Config.disk with nblocks };
+    fs = { c.Config.fs with ndisks; log_disk; log_streams; lock_grain };
+  }
+
+let sweep_tpcb ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks setup =
+  Sweep.sweep_tpcb_mpl
+    ~config:(config ?ndisks ?log_disk ?log_streams ?lock_grain ?nblocks setup)
+    setup
 
 (* Injector ------------------------------------------------------------ *)
 
@@ -59,7 +76,9 @@ let test_rate_without_rng_rejected () =
 (* Every run is a pure function of (seed, crash_point): replaying one
    must reproduce the identical outcome, byte counts and all. *)
 let test_replay_is_deterministic () =
-  let run () = Sweep.run_one Sweep.Lfs_kernel ~seed:9 ~txns:5 ~crash_point:37 () in
+  let run () =
+    Sweep.run_one Machine.Lfs_kernel ~seed:9 ~txns:5 ~crash_point:37 ()
+  in
   let a = run () and b = run () in
   Alcotest.(check string) "identical outcome" (Sweep.describe a)
     (Sweep.describe b);
@@ -83,9 +102,7 @@ let sweep_pages backend () =
 
 let sweep_tpcb_kernel () =
   if full then begin
-    let r =
-      Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:1 ~txns:40 ~mpl:1 ~points:0
-    in
+    let r = sweep_tpcb Machine.Lfs_kernel ~seed:1 ~txns:40 ~mpl:1 ~points:0 in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
@@ -94,13 +111,11 @@ let sweep_tpcb_kernel () =
   end
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:1 ~txns:5 ~mpl:1 ~points:8)
+      (sweep_tpcb Machine.Lfs_kernel ~seed:1 ~txns:5 ~mpl:1 ~points:8)
 
 let sweep_tpcb_ffs () =
   if full then begin
-    let r =
-      Sweep.sweep_tpcb_mpl Sweep.Ffs_user ~seed:1 ~txns:100 ~mpl:1 ~points:0
-    in
+    let r = sweep_tpcb Machine.Ffs_user ~seed:1 ~txns:100 ~mpl:1 ~points:0 in
     Alcotest.(check bool)
       (Printf.sprintf "at least 200 crash points (got %d)" r.Sweep.total_writes)
       true
@@ -108,18 +123,16 @@ let sweep_tpcb_ffs () =
     assert_clean r
   end
   else
-    assert_clean
-      (Sweep.sweep_tpcb_mpl Sweep.Ffs_user ~seed:1 ~txns:6 ~mpl:1 ~points:8)
+    assert_clean (sweep_tpcb Machine.Ffs_user ~seed:1 ~txns:6 ~mpl:1 ~points:8)
 
 let sweep_tpcb_lfs_user () =
-  assert_clean
-    (Sweep.sweep_tpcb_mpl Sweep.Lfs_user ~seed:2 ~txns:5 ~mpl:1 ~points:8)
+  assert_clean (sweep_tpcb Machine.Lfs_user ~seed:2 ~txns:5 ~mpl:1 ~points:8)
 
 (* Record-grain locking needs no second process: a single worker takes
    the record locks and their intention-mode parents on every access. *)
 let sweep_tpcb_lfs_user_record_grain () =
   assert_clean
-    (Sweep.sweep_tpcb_mpl ~lock_grain:`Record Sweep.Lfs_user ~seed:2 ~txns:5
+    (sweep_tpcb ~lock_grain:`Record Machine.Lfs_user ~seed:2 ~txns:5
        ~mpl:1 ~points:8)
 
 (* MPL 2 on the discrete-event scheduler with group commit enabled:
@@ -129,10 +142,10 @@ let sweep_tpcb_lfs_user_record_grain () =
 let sweep_tpcb_mpl2 () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:3 ~txns:20 ~mpl:2 ~points:0)
+      (sweep_tpcb Machine.Lfs_kernel ~seed:3 ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl Sweep.Lfs_kernel ~seed:3 ~txns:6 ~mpl:2 ~points:10)
+      (sweep_tpcb Machine.Lfs_kernel ~seed:3 ~txns:6 ~mpl:2 ~points:10)
 
 (* Multi-spindle crash coverage: two striped data disks plus a dedicated
    log spindle, MPL 2. A crash now interrupts I/O that spans spindles —
@@ -142,11 +155,11 @@ let sweep_tpcb_mpl2 () =
 let sweep_tpcb_multidisk () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true Sweep.Lfs_user ~seed:5
+      (sweep_tpcb ~ndisks:2 ~log_disk:true Machine.Lfs_user ~seed:5
          ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true Sweep.Lfs_user ~seed:5
+      (sweep_tpcb ~ndisks:2 ~log_disk:true Machine.Lfs_user ~seed:5
          ~txns:6 ~mpl:2 ~points:10)
 
 (* Record-grain locking on the same 2-disks-plus-log topology: commits
@@ -158,12 +171,12 @@ let sweep_tpcb_multidisk () =
 let sweep_tpcb_record_grain () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~lock_grain:`Record
-         Sweep.Lfs_user ~seed:11 ~txns:20 ~mpl:2 ~points:0)
+      (sweep_tpcb ~ndisks:2 ~log_disk:true ~lock_grain:`Record
+         Machine.Lfs_user ~seed:11 ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~lock_grain:`Record
-         Sweep.Lfs_user ~seed:11 ~txns:6 ~mpl:2 ~points:10)
+      (sweep_tpcb ~ndisks:2 ~log_disk:true ~lock_grain:`Record
+         Machine.Lfs_user ~seed:11 ~txns:6 ~mpl:2 ~points:10)
 
 (* Two parallel WAL streams on the 2-disks-plus-log topology: every
    stream lives in its own FFS on its own spindle, all of which crash,
@@ -175,12 +188,12 @@ let sweep_tpcb_record_grain () =
 let sweep_tpcb_multistream () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~log_streams:2
-         ~lock_grain:`Record Sweep.Lfs_user ~seed:7 ~txns:20 ~mpl:2 ~points:0)
+      (sweep_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
+         ~lock_grain:`Record Machine.Lfs_user ~seed:7 ~txns:20 ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~ndisks:2 ~log_disk:true ~log_streams:2
-         ~lock_grain:`Record Sweep.Lfs_user ~seed:7 ~txns:6 ~mpl:2 ~points:10)
+      (sweep_tpcb ~ndisks:2 ~log_disk:true ~log_streams:2
+         ~lock_grain:`Record Machine.Lfs_user ~seed:7 ~txns:6 ~mpl:2 ~points:10)
 
 (* Crash sweep under genuine cleaning pressure: a 640-block disk (20
    segments at the sweep's 32-block geometry) keeps the kernel cleaner —
@@ -192,12 +205,115 @@ let sweep_tpcb_multistream () =
 let sweep_tpcb_cleaning_pressure () =
   if full then
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~nblocks:640 Sweep.Lfs_kernel ~seed:13 ~txns:20
+      (sweep_tpcb ~nblocks:640 Machine.Lfs_kernel ~seed:13 ~txns:20
          ~mpl:2 ~points:0)
   else
     assert_clean
-      (Sweep.sweep_tpcb_mpl ~nblocks:640 Sweep.Lfs_kernel ~seed:13 ~txns:6
+      (sweep_tpcb ~nblocks:640 Machine.Lfs_kernel ~seed:13 ~txns:6
          ~mpl:2 ~points:10)
+
+(* The crash sweep for LIBTP on LFS under cleaning pressure, at MPL 4
+   with the load-adaptive daemon (on by default) cleaning ahead between
+   commits: crash points land inside idle-time cleaning while workers
+   park on queued reads and the group-commit rendezvous. The disk (14
+   segments) is sized so the fault-free run really cleans. *)
+let adaptive_nblocks = 448
+
+let sweep_tpcb_lfs_user_adaptive () =
+  let txns = if full then 80 else 20 in
+  let base =
+    Sweep.run_one_tpcb_mpl
+      ~config:(config ~nblocks:adaptive_nblocks Machine.Lfs_user)
+      Machine.Lfs_user ~seed:17 ~txns ~mpl:4 ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the fault-free run cleans (%d segments)"
+       (Stats.count base.Sweep.stats "cleaner.segments"))
+    true
+    (Stats.count base.Sweep.stats "cleaner.segments" > 0);
+  assert_clean
+    (sweep_tpcb ~nblocks:adaptive_nblocks Machine.Lfs_user ~seed:17 ~txns
+       ~mpl:4 ~points:(if full then 0 else 10))
+
+(* Config-space soak ------------------------------------------------------ *)
+
+(* Every benchmarked configuration runs through the crash oracle,
+   fault-free: each run still ends in a crash and recovery, the TPC-B
+   consistency identity and the history bound. Axes a setup ignores are
+   skipped — the WAL stream count on the kernel setup, which has no WAL,
+   and the cleaner on the read-optimized file system. Two streams get a
+   log spindle each, as in the log sweep. The disk is small enough that
+   every LFS run with its WAL on the data disk cleans. *)
+let soak_nblocks = 576
+let soak_txns = 300
+
+type soak = {
+  setup : Machine.setup;
+  mpl : int;
+  grain : [ `Page | `Record ];
+  streams : int;
+  cleaner : ((string * [ `Greedy | `Cost_benefit ] * bool) * bool) option;
+      (* (name, policy, segregate), adaptive *)
+}
+
+let soak_cases =
+  let cleaners =
+    List.concat_map
+      (fun c -> [ Some (c, true); Some (c, false) ])
+      [ ("greedy", `Greedy, false); ("cb+seg", `Cost_benefit, true) ]
+  in
+  List.concat_map
+    (fun setup ->
+      List.concat_map
+        (fun mpl ->
+          List.concat_map
+            (fun grain ->
+              List.concat_map
+                (fun streams ->
+                  List.map
+                    (fun cleaner -> { setup; mpl; grain; streams; cleaner })
+                    (if setup = Machine.Ffs_user then [ None ] else cleaners))
+                (if setup = Machine.Lfs_kernel then [ 1 ] else [ 1; 2 ]))
+            [ `Page; `Record ])
+        [ 1; 8 ])
+    Machine.setups
+
+let soak_case c =
+  let name =
+    Printf.sprintf "%s mpl%d %s s%d%s" (Machine.key c.setup) c.mpl
+      (Config.name_of Config.lock_grains c.grain)
+      c.streams
+      (match c.cleaner with
+      | None -> ""
+      | Some ((key, _, _), adaptive) ->
+        " " ^ key ^ if adaptive then " adaptive" else "")
+  in
+  let run () =
+    let base =
+      config ~nblocks:soak_nblocks ~lock_grain:c.grain ~log_streams:c.streams
+        ~log_disk:(c.streams > 1) c.setup
+    in
+    let fs =
+      match c.cleaner with
+      | None -> base.Config.fs
+      | Some ((_, cleaner_policy, cleaner_segregate), cleaner_adaptive) ->
+        {
+          base.Config.fs with
+          cleaner_policy;
+          cleaner_segregate;
+          cleaner_adaptive;
+        }
+    in
+    let o =
+      Sweep.run_one_tpcb_mpl ~config:{ base with Config.fs } c.setup ~seed:1
+        ~txns:soak_txns ~mpl:c.mpl ()
+    in
+    if o.Sweep.violations <> [] then Alcotest.fail (Sweep.describe o);
+    if c.setup <> Machine.Ffs_user && c.streams = 1 then
+      Alcotest.(check bool) "the cleaner ran" true
+        (Stats.count o.Sweep.stats "cleaner.segments" > 0)
+  in
+  Alcotest.test_case name `Quick run
 
 (* Negative control: disable the roll-forward payload verification and
    the sweep must catch torn partial-segment writes that the hardened
@@ -208,7 +324,7 @@ let test_broken_recovery_is_caught () =
   Fun.protect
     ~finally:(fun () -> Lfs.test_disable_payload_check := false)
     (fun () ->
-      let r = Sweep.sweep Sweep.Lfs_kernel ~seed:3 ~txns:4 ~points:0 in
+      let r = Sweep.sweep Machine.Lfs_kernel ~seed:3 ~txns:4 ~points:0 in
       Alcotest.(check bool) "sweep detects the broken recovery path" true
         (r.Sweep.failures <> []))
 
@@ -229,9 +345,11 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "pages / lfs-kernel" `Slow
-            (sweep_pages Sweep.Lfs_kernel);
-          Alcotest.test_case "pages / lfs-user" `Slow (sweep_pages Sweep.Lfs_user);
-          Alcotest.test_case "pages / ffs-user" `Slow (sweep_pages Sweep.Ffs_user);
+            (sweep_pages Machine.Lfs_kernel);
+          Alcotest.test_case "pages / lfs-user" `Slow
+            (sweep_pages Machine.Lfs_user);
+          Alcotest.test_case "pages / ffs-user" `Slow
+            (sweep_pages Machine.Ffs_user);
           Alcotest.test_case "tpcb / lfs-kernel" `Slow sweep_tpcb_kernel;
           Alcotest.test_case "tpcb / lfs-user" `Slow sweep_tpcb_lfs_user;
           Alcotest.test_case "tpcb / ffs-user" `Slow sweep_tpcb_ffs;
@@ -248,5 +366,9 @@ let () =
             test_broken_recovery_is_caught;
           Alcotest.test_case "tpcb / lfs-user, record grain" `Slow
             sweep_tpcb_lfs_user_record_grain;
+          Alcotest.test_case
+            "tpcb / lfs-user at MPL 4, adaptive cleaner under pressure" `Slow
+            sweep_tpcb_lfs_user_adaptive;
         ] );
+      ("soak", List.map soak_case soak_cases);
     ]
