@@ -13,20 +13,7 @@ type t = {
   active_tbl : (int, txn) Hashtbl.t;
   mutable next_id : int;
   mutable pending_commits : (txn * Cache.frame list) list; (* group commit *)
-  (* Scheduler-mode state. [parked]: processes blocked in [lock], keyed
-     by txn id, woken by the lock manager's waker. [flush_gen] /
-     [commit_cond]: the group-commit rendezvous — committers park until
-     the generation moves past the one they joined; every flush bumps it
-     after the frames are durable. *)
-  parked : (int, Sched.cond) Hashtbl.t;
-  mutable flush_gen : int;
-  (* [Lfs.force_frames] parks in disk I/O under the scheduler, so a
-     flush is not atomic: [flushing] is the mutex bit that keeps a
-     second flush (size trigger or timeout daemon) from running under
-     the first, and each flush claims its batch out of
-     [pending_commits] before yielding. *)
-  mutable flushing : bool;
-  commit_cond : Sched.cond;
+  gc : Groupcommit.t;
 }
 
 exception Conflict of int list
@@ -37,37 +24,19 @@ let create lfs =
   let clock = Lfs.clock lfs in
   let stats = Lfs.stats lfs in
   let cfg = Lfs.config lfs in
-  (* Group-commit histograms exist even in runs that never defer. *)
-  Stats.declare stats "ktxn.commit_batch";
-  Stats.declare stats "ktxn.group_commit_wait";
-  let t =
-    {
-      lfs;
-      clock;
-      stats;
-      cfg;
-      locks =
-        Lockmgr.create ~escalation:cfg.Config.fs.lock_escalation clock stats
-          cfg.Config.cpu;
-      active_tbl = Hashtbl.create 16;
-      next_id = 1;
-      pending_commits = [];
-      parked = Hashtbl.create 8;
-      flush_gen = 0;
-      flushing = false;
-      commit_cond = Sched.condition ();
-    }
-  in
-  Lockmgr.set_waker t.locks
-    (Some
-       (fun txnid ->
-         match Hashtbl.find_opt t.parked txnid with
-         | Some c -> (
-           match Sched.of_clock clock with
-           | Some sched -> Sched.broadcast sched c
-           | None -> ())
-         | None -> ()));
-  t
+  {
+    lfs;
+    clock;
+    stats;
+    cfg;
+    locks =
+      Lockmgr.create ~escalation:cfg.Config.fs.lock_escalation ~name:"ktxn"
+        clock stats cfg.Config.cpu;
+    active_tbl = Hashtbl.create 16;
+    next_id = 1;
+    pending_commits = [];
+    gc = Groupcommit.create clock stats cfg ~prefix:"ktxn";
+  }
 
 let lfs t = t.lfs
 let locks t = t.locks
@@ -117,43 +86,23 @@ let do_abort t txn =
   Stats.incr t.stats "ktxn.aborts"
 
 (* Under the scheduler the process really is descheduled and left
-   sleeping (Section 4.2): park until the lock manager's waker reports
-   our wait edges cleared, then retry the acquire. *)
-let rec block_lock t sched txn obj mode =
-  Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-  Stats.incr t.stats "ktxn.lock_blocks";
-  let c = Sched.condition () in
-  Hashtbl.replace t.parked txn.id c;
-  let t0 = Clock.now t.clock in
-  Sched.wait sched c;
-  Hashtbl.remove t.parked txn.id;
-  let dt = Clock.now t.clock -. t0 in
-  Stats.add_time t.stats "ktxn.lock_wait" dt;
-  Stats.observe t.stats "ktxn.lock_wait" dt;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block _ -> block_lock t sched txn obj mode
-  | `Deadlock ->
-    do_abort t txn;
-    raise (Deadlock_abort txn.id)
-
+   sleeping (Section 4.2) until its wait edges clear, then retries.
+   Outside any process it cannot wait: charge the switch and bounce the
+   caller instead. *)
 let lock_obj t txn obj mode =
   kmutex t;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      block_lock t sched txn obj mode
-    | _ ->
-      (* The process would be descheduled and left sleeping
-         (Section 4.2); at MPL 1 we charge the switch and bounce the
-         caller instead. *)
+  let rec go () =
+    match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
+    | `Granted -> ()
+    | `Would_block _ when Lockmgr.wait t.locks ~txn:txn.id -> go ()
+    | `Would_block blockers ->
       Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-      raise (Conflict blockers))
-  | `Deadlock ->
-    do_abort t txn;
-    raise (Deadlock_abort txn.id)
+      raise (Conflict blockers)
+    | `Deadlock ->
+      do_abort t txn;
+      raise (Deadlock_abort txn.id)
+  in
+  go ()
 
 let lock t txn ~inum ~page mode = lock_obj t txn (Lockmgr.Page (inum, page)) mode
 
@@ -185,106 +134,56 @@ let write_page t txn ~inum ~page data =
   Stats.incr t.stats "ktxn.page_writes"
 
 let flush_pending t =
-  (* Wait out an in-flight flush first: it already claimed its batch,
-     and running under it would re-release (without forcing) whatever
-     committers enqueued while it was parked in the disk I/O. *)
-  (match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
-    while t.flushing do
-      Sched.wait sched t.commit_cond
-    done
-  | _ -> ());
-  if t.pending_commits <> [] then begin
-    (* Claim the batch before the first yield: committers arriving
-       during [Lfs.force_frames] belong to the NEXT flush. *)
-    let pending = t.pending_commits in
-    t.pending_commits <- [];
-    t.flushing <- true;
-    Fun.protect
-      ~finally:(fun () ->
-        t.flushing <- false;
-        (* Release committers parked at the rendezvous — each re-checks
-           whether its own transaction was in the flushed batch. *)
-        t.flush_gen <- t.flush_gen + 1;
-        match Sched.of_clock t.clock with
-        | Some sched -> Sched.broadcast sched t.commit_cond
-        | None -> ())
-      (fun () ->
-        let cache = Lfs.cache t.lfs in
-        let batch = List.length pending in
-        let all_frames =
-          List.concat_map
-            (fun (_, frames) ->
-              List.iter (fun f -> Cache.set_txn cache f (-1)) frames;
-              frames)
-            pending
-        in
-        (* Frames may have been superseded if two pending transactions
-           touched the same page; de-duplicate while preserving order. *)
-        let seen = Hashtbl.create 16 in
-        let frames =
-          List.filter
-            (fun (f : Cache.frame) ->
-              let k = (f.Cache.file, f.Cache.lblock) in
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.add seen k ();
-                f.Cache.resident && f.Cache.dirty
-              end)
-            all_frames
-        in
-        Lfs.force_frames t.lfs frames;
-        List.iter (fun (txn, _) -> release t txn) pending;
-        Stats.incr t.stats "ktxn.group_flushes";
-        Stats.observe t.stats "ktxn.commit_batch" (float_of_int batch);
-        if Stats.tracing t.stats then
-          Stats.emit t.stats ~time:(Clock.now t.clock) "ktxn.group_flush"
-            [ ("batch", Trace.I batch); ("frames", Trace.I (List.length frames)) ])
-  end
+  Groupcommit.flush t.gc
+    ~ready:(fun () -> t.pending_commits <> [])
+    (fun () ->
+      let pending = t.pending_commits in
+      t.pending_commits <- [];
+      let cache = Lfs.cache t.lfs in
+      let batch = List.length pending in
+      let all_frames =
+        List.concat_map
+          (fun (_, frames) ->
+            List.iter (fun f -> Cache.set_txn cache f (-1)) frames;
+            frames)
+          pending
+      in
+      (* Frames may have been superseded if two pending transactions
+         touched the same page; de-duplicate while preserving order. *)
+      let seen = Hashtbl.create 16 in
+      let frames =
+        List.filter
+          (fun (f : Cache.frame) ->
+            let k = (f.Cache.file, f.Cache.lblock) in
+            if Hashtbl.mem seen k then false
+            else begin
+              Hashtbl.add seen k ();
+              f.Cache.resident && f.Cache.dirty
+            end)
+          all_frames
+      in
+      Lfs.force_frames t.lfs frames;
+      List.iter (fun (txn, _) -> release t txn) pending;
+      Stats.incr t.stats "ktxn.group_flushes";
+      if Stats.tracing t.stats then
+        Stats.emit t.stats ~time:(Clock.now t.clock) "ktxn.group_flush"
+          [ ("batch", Trace.I batch); ("frames", Trace.I (List.length frames)) ])
 
 let flush_commits t = if t.pending_commits <> [] then flush_pending t
 
+(* Section 4.4's rendezvous. A committer waits for its own transaction's
+   release, not for the next flush: a flush already in flight when it
+   enqueued ends without covering it. *)
 let txn_commit t txn =
   check_live txn;
   syscall t;
   kmutex t;
-  let was_empty = t.pending_commits = [] in
   t.pending_commits <- (txn, txn.frames) :: t.pending_commits;
   txn.frames <- [];
   Stats.incr t.stats "ktxn.commits";
-  let timeout = t.cfg.Config.fs.group_commit_timeout_s in
-  if
-    timeout <= 0.0
-    || List.length t.pending_commits >= t.cfg.Config.fs.group_commit_size
-  then flush_pending t
-  else
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      (* Real rendezvous (Section 4.4): park until the batch fills — a
-         later committer's inline flush — or this batch's timeout
-         process fires. The first committer arms the timeout. Waking is
-         keyed on our own transaction's release, not the flush
-         generation: a flush that was already in flight when we
-         enqueued bumps the generation without covering us. *)
-      if was_empty then
-        Sched.spawn ~daemon:true sched (fun () ->
-            Sched.delay sched timeout;
-            if txn.live then flush_pending t);
-      let t0 = Clock.now t.clock in
-      while txn.live do
-        Sched.wait sched t.commit_cond
-      done;
-      let waited = Clock.now t.clock -. t0 in
-      Stats.add_time t.stats "ktxn.group_commit_wait" waited;
-      Stats.observe t.stats "ktxn.group_commit_wait" waited
-    | _ ->
-      (* Outside any process nobody can join the batch: wait out the
-         timeout (Section 4.4) and flush, so the commit is durable when
-         it returns — the same rule as [Logmgr.force_commit]. *)
-      Clock.advance t.clock timeout;
-      Stats.add_time t.stats "ktxn.group_commit_wait" timeout;
-      Stats.observe t.stats "ktxn.group_commit_wait" timeout;
-      flush_pending t
+  Groupcommit.commit t.gc
+    ~waiting:(fun () -> txn.live)
+    ~flush:(fun () -> flush_pending t)
 
 let txn_abort t txn =
   check_live txn;

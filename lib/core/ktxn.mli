@@ -63,12 +63,9 @@ val write_page : t -> txn -> inum:int -> page:int -> bytes -> unit
 val txn_commit : t -> txn -> unit
 (** Move the transaction's buffers to the dirty list and force them to
     the log (one segment write), then release the lock chain. With a
-    non-zero group-commit timeout the flush may be deferred: the
-    committing process sleeps until [group_commit_size] commits have
-    accumulated or the timeout expires, and the shared flush happens
-    before it returns. A commit made outside any scheduler process has
-    nobody to share with: it waits out the timeout and flushes alone.
-    Either way the transaction is durable when [txn_commit] returns. *)
+    non-zero group-commit timeout the flush may be deferred and shared
+    ({!Groupcommit}); either way the transaction is durable when
+    [txn_commit] returns. *)
 
 val flush_commits : t -> unit
 (** Force any commits deferred by group commit to disk now, releasing

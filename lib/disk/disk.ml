@@ -143,12 +143,19 @@ let rotation_time t = 0.5 *. (60.0 /. t.cfg.rpm)
 let transfer_time t nblocks =
   float_of_int (nblocks * t.cfg.block_size) /. t.cfg.transfer_bytes_per_s
 
+(* Rotational delay of a request at [blkno] after a seek of [seek]: a
+   request that continues exactly where the head stopped streams with
+   no positioning cost at all (the common case for log/segment writes);
+   a queued one pays a discounted rotation (its seek is discounted
+   too). *)
+let rotation t blkno ~seek ~queued =
+  if queued then 0.75 *. rotation_time t
+  else if seek = 0.0 && blkno = t.head then 0.0
+  else rotation_time t
+
 let service_time t blkno ~nblocks =
   let seek = seek_time t ~from:t.head ~target:blkno in
-  (* A request that continues exactly where the head stopped streams with
-     no positioning cost at all (the common case for log/segment writes). *)
-  let rotation = if seek = 0.0 && blkno = t.head then 0.0 else rotation_time t in
-  seek +. rotation +. transfer_time t nblocks
+  seek +. rotation t blkno ~seek ~queued:false +. transfer_time t nblocks
 
 (* Block the calling process until the arm is free. Loop: several
    waiters can wake at the same horizon and only the first to run gets
@@ -158,27 +165,14 @@ let wait_device t sched =
     Sched.sleep_until sched t.busy_until
   done
 
-let serve ?(queued = false) t blkno ~nblocks ~write =
-  check_range t blkno nblocks;
-  (* Under the discrete-event scheduler each spindle is a real shared
-     resource: a synchronous request issued from a process waits for the
-     arm, then holds it for its service time while other processes (on
-     other spindles) keep running. Outside the scheduler the clock just
-     jumps, exactly as before. Positioning costs are computed only after
-     the wait — the head may have moved while we queued. *)
-  let sched =
-    match Sched.of_clock t.clock with
-    | Some s when Sched.in_process s -> Some s
-    | _ -> None
-  in
-  (match sched with Some s -> wait_device t s | None -> ());
+(* One request's service, shared by the synchronous path and the queue
+   server: position, transfer, hold the arm for the total, account it,
+   and leave the head past the run. Under a scheduler the caller already
+   waited for the arm; outside one the clock just jumps. *)
+let service t sched blkno ~nblocks ~write ~queued =
   let seek = seek_time t ~from:t.head ~target:blkno in
-  let seek_c, rot_c =
-    if queued then (0.3 *. seek, 0.75 *. rotation_time t)
-    else
-      ( seek,
-        if seek = 0.0 && blkno = t.head then 0.0 else rotation_time t )
-  in
+  let seek_c = if queued then 0.3 *. seek else seek in
+  let rot_c = rotation t blkno ~seek ~queued in
   let xfer = transfer_time t nblocks in
   let dt = seek_c +. rot_c +. xfer in
   (match sched with
@@ -205,6 +199,19 @@ let serve ?(queued = false) t blkno ~nblocks ~write =
     seek_c;
   Stats.observe t.stats t.keys.k_rotation rot_c;
   Stats.observe t.stats t.keys.k_transfer xfer;
+  t.head <- blkno + nblocks;
+  dt
+
+let serve ?(queued = false) t blkno ~nblocks ~write =
+  check_range t blkno nblocks;
+  (* Under the discrete-event scheduler each spindle is a real shared
+     resource: a synchronous request issued from a process waits for the
+     arm, then holds it for its service time while other processes (on
+     other spindles) keep running. Positioning costs are computed only
+     after the wait — the head may have moved while we queued. *)
+  let sched = Sched.current t.clock in
+  (match sched with Some s -> wait_device t s | None -> ());
+  let dt = service t sched blkno ~nblocks ~write ~queued in
   if Stats.tracing t.stats then
     Stats.emit t.stats ~time:(Clock.now t.clock) t.keys.k_op
       [
@@ -213,8 +220,7 @@ let serve ?(queued = false) t blkno ~nblocks ~write =
         ("nblocks", Trace.I nblocks);
         ("queued", Trace.B queued);
         ("service_s", Trace.F dt);
-      ];
-  t.head <- blkno + nblocks
+      ]
 
 (* A transient read error costs a full revolution (the sector comes
    around again) and a retry. The injector promises eventual success, so
@@ -229,15 +235,12 @@ let retry_reads t blkno n =
       Stats.incr t.stats t.keys.k_read_retries
     done
 
-let read t blkno =
-  serve t blkno ~nblocks:1 ~write:false;
-  retry_reads t blkno 1;
-  Bytes.sub t.data (blkno * t.cfg.block_size) t.cfg.block_size
-
 let read_run t blkno n =
   serve t blkno ~nblocks:n ~write:false;
   retry_reads t blkno n;
   Bytes.sub t.data (blkno * t.cfg.block_size) (n * t.cfg.block_size)
+
+let read t blkno = read_run t blkno 1
 
 (* Persist [data] at [blkno] as the write is issued (see [pending]),
    honouring the injector: only the first [keep] blocks reach the
@@ -256,7 +259,7 @@ let persist t blkno data =
     Bytes.blit data 0 t.data (blkno * bs) (keep * bs);
     if keep < n then raise Injected_crash
 
-let write_blocks t blkno data =
+let write_blocks ?queued t blkno data =
   let bs = t.cfg.block_size in
   let len = Bytes.length data in
   if len = 0 || len mod bs <> 0 then
@@ -264,7 +267,7 @@ let write_blocks t blkno data =
   let n = len / bs in
   check_range t blkno n;
   persist t blkno data;
-  serve t blkno ~nblocks:n ~write:true
+  serve ?queued t blkno ~nblocks:n ~write:true
 
 let write t blkno data =
   if Bytes.length data <> t.cfg.block_size then
@@ -274,9 +277,7 @@ let write t blkno data =
 let write_queued t blkno data =
   if Bytes.length data <> t.cfg.block_size then
     invalid_arg "Disk.write_queued: data must be exactly one block";
-  check_range t blkno 1;
-  persist t blkno data;
-  serve ~queued:true t blkno ~nblocks:1 ~write:true
+  write_blocks ~queued:true t blkno data
 
 let write_run t blkno data = write_blocks t blkno data
 
@@ -306,24 +307,10 @@ let rec serve_queue t sched =
       | [] -> assert false
     in
     t.queue <- List.filter (fun r -> r != pick) t.queue;
-    let seek = seek_time t ~from:t.head ~target:pick.p_blkno in
-    let rot =
-      if seek = 0.0 && pick.p_blkno = t.head then 0.0 else rotation_time t
+    let dt =
+      service t (Some sched) pick.p_blkno ~nblocks:pick.p_nblocks ~write:false
+        ~queued:false
     in
-    let xfer = transfer_time t pick.p_nblocks in
-    let dt = seek +. rot +. xfer in
-    t.busy_until <- Clock.now t.clock +. dt;
-    Sched.delay sched dt;
-    Stats.add_time t.stats t.keys.k_busy dt;
-    Stats.add_time t.stats t.keys.k_seek seek;
-    if seek > 0.0 then Stats.incr t.stats t.keys.k_seeks;
-    Stats.incr t.stats t.keys.k_requests;
-    Stats.add t.stats t.keys.k_blocks_read pick.p_nblocks;
-    Stats.observe t.stats t.keys.k_read_service dt;
-    Stats.observe t.stats t.keys.k_seek seek;
-    Stats.observe t.stats t.keys.k_rotation rot;
-    Stats.observe t.stats t.keys.k_transfer xfer;
-    t.head <- pick.p_blkno + pick.p_nblocks;
     retry_reads t pick.p_blkno pick.p_nblocks;
     pick.p_data <-
       Bytes.sub t.data
@@ -346,8 +333,8 @@ let rec serve_queue t sched =
     serve_queue t sched)
 
 let read_async t blkno =
-  match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
+  match Sched.current t.clock with
+  | Some sched ->
     check_range t blkno 1;
     let p =
       {

@@ -104,22 +104,12 @@ let iget_opt t inum =
     | Some ino -> Some ino
     | None -> (
       let block = Disk.read t.disk (itable_blkno t inum) in
-      match Inode.decode block (itable_off t inum) with
+      match
+        Inode.load ~block_size:t.bs ~read:(Disk.read t.disk) block
+          (itable_off t inum)
+      with
       | None -> None
       | Some ino ->
-        let nind = Inode.indirect_count ino ~block_size:t.bs in
-        if nind > 1 && ino.Inode.dbl_addr <> 0 then
-          Inode.decode_double ino ~block_size:t.bs
-            (Disk.read t.disk ino.Inode.dbl_addr);
-        for idx = 0 to nind - 1 do
-          let a =
-            if idx < Array.length ino.Inode.ind_addrs then
-              ino.Inode.ind_addrs.(idx)
-            else 0
-          in
-          if a <> 0 then
-            Inode.decode_indirect ino ~block_size:t.bs idx (Disk.read t.disk a)
-        done;
         Hashtbl.replace t.inodes inum ino;
         Some ino)
 

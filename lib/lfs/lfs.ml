@@ -62,10 +62,8 @@ type t = {
   (* Partial-segment writes mutate the shared cursor/usage/imap state
      and park on disk I/O partway through; under a scheduler two fibers
      (concurrent committers, or a commit racing a checkpoint) must not
-     interleave inside one. [seg_writing] is the writer mutex bit;
-     waiters park on [seg_write_cond]. *)
-  mutable seg_writing : bool;
-  seg_write_cond : Sched.cond;
+     interleave inside one. *)
+  seg_writer : Sched.Mutex.t;
   mutable pending_cp : bool;
   mutable crashed : bool;
   mutable bg : bool; (* syncer/cleaner run as scheduler daemons *)
@@ -176,23 +174,13 @@ let iget_opt t inum =
       if addr = 0 then None (* allocated but never written: lost *)
       else begin
         let block = Diskset.read t.disk addr in
-        match Inode.decode block (t.imap_slot.(inum) * Layout.inode_size) with
+        match
+          Inode.load ~block_size:(block_size t) ~read:(Diskset.read t.disk)
+            block
+            (t.imap_slot.(inum) * Layout.inode_size)
+        with
         | None -> None
         | Some ino ->
-          let bs = block_size t in
-          let nind = Inode.indirect_count ino ~block_size:bs in
-          if nind > 1 && ino.Inode.dbl_addr <> 0 then
-            Inode.decode_double ino ~block_size:bs
-              (Diskset.read t.disk ino.Inode.dbl_addr);
-          for idx = 0 to nind - 1 do
-            let a =
-              if idx < Array.length ino.Inode.ind_addrs then
-                ino.Inode.ind_addrs.(idx)
-              else 0
-            in
-            if a <> 0 then
-              Inode.decode_indirect ino ~block_size:bs idx (Diskset.read t.disk a)
-          done;
           Hashtbl.replace t.inodes inum ino;
           Some ino
       end
@@ -348,20 +336,7 @@ let write_partial ?(defer_meta = false) ?(more = false) ?(target = `Hot) t
      the first state read keeps a follower's plan consistent with
      whatever the in-flight writer logged (re-logging a frame it already
      cleaned is harmless; interleaving two packs is not). *)
-  (match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
-    while t.seg_writing do
-      Sched.wait sched t.seg_write_cond
-    done
-  | _ -> ());
-  t.seg_writing <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      t.seg_writing <- false;
-      match Sched.of_clock t.clock with
-      | Some sched -> Sched.broadcast sched t.seg_write_cond
-      | None -> ())
-  @@ fun () ->
+  Sched.Mutex.protect t.seg_writer @@ fun () ->
   (* Relocation items are re-validated here, under the writer mutex: the
      cleaner captured these platter bytes before (possibly) yielding —
      waiting for this mutex, or parked in the victim read — and a
@@ -1226,8 +1201,8 @@ let get_page t ~inum ~lblock =
   | None -> (
     let ino = iget t inum in
     let addr = Inode.get_addr ino lblock in
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched && addr <> 0 ->
+    match Sched.current t.clock with
+    | Some _ when addr <> 0 ->
       (* Cache miss under the scheduler: the read joins the live disk
          queue and this process parks. *)
       let rec fetch addr =
@@ -1286,8 +1261,8 @@ let force_frames t frames =
      sections drain; the clean then happens on the foreground path,
      which is exactly the Section 5.1 cleaning stall. *)
   (if free_segments t < t.cfg.fs.cleaner_low_segments then
-     match Sched.of_clock t.clock with
-     | Some sched when Sched.in_process sched ->
+     match Sched.current t.clock with
+     | Some sched ->
        while not (maint_idle t) do
          Sched.delay sched 0.001
        done
@@ -1506,8 +1481,7 @@ let make_empty disk clock stats (cfg : Config.t) sb =
       segs_since_cp = 0;
       last_syncer = Clock.now clock;
       maint = 0;
-      seg_writing = false;
-      seg_write_cond = Sched.condition ();
+      seg_writer = Sched.Mutex.create clock;
       pending_cp = false;
       crashed = false;
       bg = false;

@@ -66,13 +66,13 @@ type t = {
   latch_table : (obj, entry) Hashtbl.t;
   latch_chains : (int, (obj * mode) list ref) Hashtbl.t;
   latch_waits : (int, wait) Hashtbl.t;
-  (* Under the discrete-event scheduler the transaction layer parks a
-     process whose acquire would block; this hook tells it which
-     transactions' requests stopped conflicting so it can wake them. *)
-  mutable waker : (int -> unit) option;
+  parked : (int, Sched.cond) Hashtbl.t; (* [wait]ers, by transaction *)
+  (* "<name>.lock_blocks", "<name>.lock_wait", and the latch pair. *)
+  lock_keys : string * string;
+  latch_keys : string * string;
 }
 
-let create ?(escalation = max_int) clock stats cpu =
+let create ?(escalation = max_int) ?(name = "txn") clock stats cpu =
   {
     clock;
     stats;
@@ -84,10 +84,10 @@ let create ?(escalation = max_int) clock stats cpu =
     latch_table = Hashtbl.create 64;
     latch_chains = Hashtbl.create 32;
     latch_waits = Hashtbl.create 32;
-    waker = None;
+    parked = Hashtbl.create 8;
+    lock_keys = (name ^ ".lock_blocks", name ^ ".lock_wait");
+    latch_keys = (name ^ ".latch_blocks", name ^ ".latch_wait");
   }
-
-let set_waker t f = t.waker <- f
 
 let charge t = Cpu.charge t.clock t.stats t.cpu Cpu.Lock_op
 
@@ -170,7 +170,9 @@ let revalidate_table t ~table ~waits obj =
     (fun waiter ->
       Hashtbl.remove waits waiter;
       Stats.incr t.stats "lock.waits_cleared";
-      match t.waker with Some wake -> wake waiter | None -> ())
+      match (Hashtbl.find_opt t.parked waiter, Sched.of_clock t.clock) with
+      | Some c, Some sched -> Sched.broadcast sched c
+      | _ -> ())
     !cleared
 
 let revalidate_waiters t obj =
@@ -437,3 +439,27 @@ let release_latches t ~owner =
 
 let latched t ~owner =
   match Hashtbl.find_opt t.latch_chains owner with Some r -> !r | None -> []
+
+(* ---- Waiting ------------------------------------------------------ *)
+
+(* The process is descheduled and left sleeping (Section 4.2) until
+   [revalidate_table] clears its edges. Latch waits are short: only
+   their total is kept. *)
+let wait ?(unlatch = false) t ~txn =
+  match Sched.current t.clock with
+  | None -> false
+  | Some sched ->
+    let latch = Hashtbl.mem t.latch_waits txn in
+    let blocks_key, wait_key = if latch then t.latch_keys else t.lock_keys in
+    if unlatch then release_latches t ~owner:txn;
+    Cpu.charge t.clock t.stats t.cpu Cpu.Context_switch;
+    Stats.incr t.stats blocks_key;
+    let c = Sched.condition () in
+    Hashtbl.replace t.parked txn c;
+    let t0 = Clock.now t.clock in
+    Sched.wait sched c;
+    Hashtbl.remove t.parked txn;
+    let dt = Clock.now t.clock -. t0 in
+    Stats.add_time t.stats wait_key dt;
+    if not latch then Stats.observe t.stats wait_key dt;
+    true

@@ -30,19 +30,20 @@
     the page grant would conflict it is skipped and retried on the next
     record acquire.
 
-    The manager itself never blocks (the simulation is single-threaded):
-    a conflicting request returns [`Would_block] and registers the
-    waits-for edges, and the caller decides whether to spin, deschedule
-    its simulated process, or abort. A request that would close a cycle
-    in the waits-for graph — which may now pass through intention
-    holders — returns [`Deadlock] instead.
+    A conflicting request returns [`Would_block] and registers the
+    waits-for edges; one that would close a cycle in the waits-for
+    graph — which may pass through intention holders — returns
+    [`Deadlock]. On [`Would_block] the caller calls {!wait}: under the
+    scheduler it deschedules the process until a release, abort or
+    grant clears the edges (Section 4.2); outside any process it
+    returns at once and the caller reports the conflict.
 
     A separate latch table provides short-term physical page latches
     (Shared/Exclusive only, no deadlock detection): access methods hold
     latches only across a page edit while record locks persist to
-    commit. Latch waiters are woken through the same waker callback.
-    Latch acquisition is strictly top-down and latch holders never block
-    on locks, so latch waits always make progress. *)
+    commit. Latch waiters park in the same {!wait}. Latch acquisition
+    is strictly top-down and latch holders never block on locks, so
+    latch waits always make progress. *)
 
 type mode = IS | IX | Shared | SIX | Exclusive
 
@@ -59,10 +60,12 @@ type outcome =
 
 type t
 
-val create : ?escalation:int -> Clock.t -> Stats.t -> Config.cpu -> t
+val create :
+  ?escalation:int -> ?name:string -> Clock.t -> Stats.t -> Config.cpu -> t
 (** [escalation] is the per-(transaction, page) record-lock count at
     which the manager escalates to a page lock; defaults to [max_int]
-    (never). *)
+    (never). [name] (default ["txn"]) prefixes the stats of the waits
+    {!wait} parks. *)
 
 val compatible : mode -> mode -> bool
 (** The multi-granularity compatibility matrix. *)
@@ -70,15 +73,6 @@ val compatible : mode -> mode -> bool
 val sup : mode -> mode -> mode
 (** Least upper bound in the mode lattice
     (IS < IX < X, IS < S < SIX < X, IX < SIX; sup S IX = SIX). *)
-
-val set_waker : t -> (int -> unit) option -> unit
-(** Install a callback fired with a transaction id whenever that
-    transaction's pending request (lock or latch) stops conflicting —
-    its wait edges are cleared by a release, abort or grant. The
-    transaction layer uses it to unpark a process blocked in [acquire]
-    under the discrete-event scheduler; a retried acquire is then
-    expected to be granted. [None] (the default) restores the
-    fire-nothing behavior. *)
 
 val acquire : t -> txn:int -> obj -> mode -> outcome
 (** Request a lock, taking intention locks on all ancestors first.
@@ -123,7 +117,7 @@ val latch :
   t -> owner:int -> obj -> mode -> [ `Granted | `Would_block of int list ]
 (** Acquire a short-term physical latch ([Shared] or [Exclusive] only;
     other modes raise [Invalid_argument]). No deadlock detection: a
-    conflicting request registers a latch wait (woken via the waker) and
+    conflicting request registers a latch wait (see {!wait}) and
     returns the blockers. *)
 
 val unlatch : t -> owner:int -> obj -> unit
@@ -131,3 +125,13 @@ val release_latches : t -> owner:int -> unit
 (** Drop every latch the owner holds and its pending latch wait. *)
 
 val latched : t -> owner:int -> (obj * mode) list
+
+(** {2 Waiting} *)
+
+val wait : ?unlatch:bool -> t -> txn:int -> bool
+(** After [`Would_block] for [txn]: inside a process, charge a context
+    switch, park until [txn]'s wait edges clear and return [true] (the
+    caller retries); outside any process return [false] at once.
+    [unlatch] first drops [txn]'s latches. Counts the block and the
+    wait under ["<name>.lock_blocks"]/["<name>.lock_wait"] (or
+    [latch_]). *)

@@ -88,13 +88,23 @@ type cond = { mutable waiters : (unit -> unit) list }
 
 (* Clock -> scheduler discovery, so deep subsystems (disk, log manager,
    lock manager) can find the scheduler without widening every
-   constructor. Keyed by physical equality; one scheduler per clock. *)
-let registry : (Clock.t * t) list ref = ref []
+   constructor. Keyed by physical equality; one scheduler per clock.
+   Each entry keeps its [Some t] so the lookups on hot blocking paths
+   allocate nothing. *)
+let registry : (Clock.t * t option) list ref = ref []
 
-let of_clock clock =
-  List.find_map (fun (c, s) -> if c == clock then Some s else None) !registry
+let rec lookup clock = function
+  | [] -> None
+  | (c, s) :: rest -> if c == clock then s else lookup clock rest
+
+let of_clock clock = lookup clock !registry
 
 let in_process t = t.in_fiber
+
+let current clock =
+  match of_clock clock with
+  | Some t as s when t.in_fiber -> s
+  | _ -> None
 
 (* Identity of the running process. Suspension handlers restore it on
    every resume, so it is stable across parks. *)
@@ -197,7 +207,8 @@ let create clock =
       cur = 0;
     }
   in
-  registry := (clock, t) :: List.filter (fun (c, _) -> c != clock) !registry;
+  registry :=
+    (clock, Some t) :: List.filter (fun (c, _) -> c != clock) !registry;
   (* Route Clock.sleep_until through the scheduler — but only for calls
      made from inside a process; callers outside any process (setup,
      recovery) keep the jump-forward semantics. *)
@@ -211,3 +222,29 @@ let create clock =
 let detach t =
   Clock.set_sleeper t.clock None;
   registry := List.filter (fun (c, _) -> c != t.clock) !registry
+
+module Mutex = struct
+  type t = { clock : Clock.t; mutable held : bool; released : cond }
+
+  let create clock = { clock; held = false; released = condition () }
+
+  let await m =
+    match current m.clock with
+    | Some s -> while m.held do wait s m.released done
+    | None -> ()
+
+  let wait_release m =
+    match current m.clock with Some s -> wait s m.released | None -> ()
+
+  (* Waking every waiter keeps the hand-over FIFO: they re-check [held]
+     in the order they parked, and the rest park again behind the
+     first. *)
+  let unlock m =
+    m.held <- false;
+    match of_clock m.clock with Some s -> broadcast s m.released | None -> ()
+
+  let protect m f =
+    await m;
+    m.held <- true;
+    Fun.protect ~finally:(fun () -> unlock m) f
+end

@@ -19,10 +19,15 @@
     through the event queue. A scheduler attaches to a clock at
     {!create} time and is discoverable from it via {!of_clock}, which is
     how subsystems deep in the stack (disk, log manager, lock manager)
-    opt into blocking behavior without widening their constructors. With
-    no scheduler attached — or when called from outside any process, as
-    setup and recovery are — every component takes its direct path and
-    the clock simply jumps. *)
+    opt into blocking behavior without widening their constructors.
+
+    {b Who may block.} {!current} is the one test every component makes
+    before parking: it yields the scheduler only when the caller runs
+    inside a process. With no scheduler attached — or when called from
+    outside any process, as setup and recovery are — every component
+    takes its direct path and the clock simply jumps. Besides the disk's
+    arm and request queue, three homes build on it: {!Mutex}, the
+    group-commit rendezvous [Groupcommit], and [Lockmgr.wait]. *)
 
 type t
 
@@ -49,6 +54,10 @@ val of_clock : Clock.t -> t option
 val in_process : t -> bool
 (** True while executing inside a spawned process — i.e. blocking
     operations are legal right now. *)
+
+val current : Clock.t -> t option
+(** The clock's scheduler, if the caller runs inside one of its
+    processes and so may park. Allocation-free. *)
 
 val self : t -> int
 (** Identity of the running process: a positive id unique per spawned
@@ -99,3 +108,22 @@ val signal : t -> cond -> unit
 
 val broadcast : t -> cond -> unit
 (** Wake every waiter, in FIFO order, at the current time. *)
+
+(** A mutex for simulated processes: inside a process a caller parks
+    while another holds it; outside any process it never waits. A
+    release wakes every waiter, and the longest-parked one takes it. *)
+module Mutex : sig
+  type t
+
+  val create : Clock.t -> t
+
+  val protect : t -> (unit -> 'a) -> 'a
+  (** Hold the mutex across the call. *)
+
+  val await : t -> unit
+  (** Wait until the mutex is free without taking it. *)
+
+  val wait_release : t -> unit
+  (** Park the calling process until the next release (a no-op outside
+      any process). *)
+end

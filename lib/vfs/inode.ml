@@ -182,3 +182,18 @@ let decode_double t ~block_size b =
   for i = 1 to nind - 1 do
     t.ind_addrs.(i) <- Enc.get_u32 b (4 * (i - 1))
   done
+
+let load ~block_size ~read block off =
+  match decode block off with
+  | None -> None
+  | Some ino ->
+    let nind = indirect_count ino ~block_size in
+    if nind > 1 && ino.dbl_addr <> 0 then
+      decode_double ino ~block_size (read ino.dbl_addr);
+    for idx = 0 to nind - 1 do
+      let a =
+        if idx < Array.length ino.ind_addrs then ino.ind_addrs.(idx) else 0
+      in
+      if a <> 0 then decode_indirect ino ~block_size idx (read a)
+    done;
+    Some ino

@@ -70,3 +70,9 @@ val encode_double : t -> block_size:int -> bytes
     1..n-1; indirect block 0's address lives in the inode itself). *)
 
 val decode_double : t -> block_size:int -> bytes -> unit
+
+val load :
+  block_size:int -> read:(int -> bytes) -> bytes -> int -> t option
+(** [load ~block_size ~read block off]: {!decode}, then fill the map from
+    the double-indirect block and each indirect block in order, fetched
+    with [read addr]. Both file systems read inodes through it. *)

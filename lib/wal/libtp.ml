@@ -25,10 +25,6 @@ type t = {
   mutable committed_since_cp : int;
   checkpoint_every : int;
   mutable losers : int;
-  (* Processes parked in [lock] under the scheduler, keyed by txn id;
-     the lock manager's waker broadcasts the condition when the txn's
-     wait edges clear. *)
-  parked : (int, Sched.cond) Hashtbl.t;
 }
 
 exception Conflict of int list
@@ -90,26 +86,12 @@ let release t txn =
    latch acquisition is top-down, and a process never parks on a lock
    while holding latches (it drops them and restarts the operation), so
    every latch holder runs to the end of its operation. *)
-let rec block_latch t sched txn obj mode =
-  Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-  Stats.incr t.stats "txn.latch_blocks";
-  let c = Sched.condition () in
-  Hashtbl.replace t.parked txn.id c;
-  let t0 = Clock.now t.clock in
-  Sched.wait sched c;
-  Hashtbl.remove t.parked txn.id;
-  Stats.add_time t.stats "txn.latch_wait" (Clock.now t.clock -. t0);
+let rec latch_blocking t txn obj mode =
   match Lockmgr.latch t.locks ~owner:txn.id obj mode with
   | `Granted -> ()
-  | `Would_block _ -> block_latch t sched txn obj mode
-
-let latch_blocking t txn obj mode =
-  match Lockmgr.latch t.locks ~owner:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched -> block_latch t sched txn obj mode
-    | _ -> raise (Conflict blockers))
+  | `Would_block _ when Lockmgr.wait t.locks ~txn:txn.id ->
+    latch_blocking t txn obj mode
+  | `Would_block blockers -> raise (Conflict blockers)
 
 let latch t txn obj mode =
   check_live txn;
@@ -162,39 +144,21 @@ let do_abort t txn =
   release t txn
 
 (* Under the scheduler a conflicting acquire genuinely blocks: the
-   process parks until the lock manager's waker reports its wait edges
-   cleared, then retries. Deadlock (a real wait cycle, detected at
-   acquire time) still aborts and raises. *)
-let rec block_lock t sched txn obj mode =
-  Cpu.charge t.clock t.stats t.cfg.Config.cpu Cpu.Context_switch;
-  Stats.incr t.stats "txn.lock_blocks";
-  let c = Sched.condition () in
-  Hashtbl.replace t.parked txn.id c;
-  let t0 = Clock.now t.clock in
-  Sched.wait sched c;
-  Hashtbl.remove t.parked txn.id;
-  let dt = Clock.now t.clock -. t0 in
-  Stats.add_time t.stats "txn.lock_wait" dt;
-  Stats.observe t.stats "txn.lock_wait" dt;
+   process parks until its wait edges clear, then retries. Deadlock (a
+   real wait cycle, detected at acquire time) still aborts and raises. *)
+let rec lock_blocking t txn obj mode =
   match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
   | `Granted -> ()
-  | `Would_block _ -> block_lock t sched txn obj mode
+  | `Would_block _ when Lockmgr.wait t.locks ~txn:txn.id ->
+    lock_blocking t txn obj mode
+  | `Would_block blockers -> raise (Conflict blockers)
   | `Deadlock ->
     do_abort t txn;
     raise (Deadlock_abort txn.id)
 
 let lock t txn obj mode =
   mutex t;
-  match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
-  | `Granted -> ()
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      block_lock t sched txn obj mode
-    | _ -> raise (Conflict blockers))
-  | `Deadlock ->
-    do_abort t txn;
-    raise (Deadlock_abort txn.id)
+  lock_blocking t txn obj mode
 
 (* Record-grain lock acquisition from inside an access-method operation:
    if the request must wait, the process first releases every latch it
@@ -208,14 +172,11 @@ let lock_restartable t txn obj mode =
   mutex t;
   match Lockmgr.acquire t.locks ~txn:txn.id obj mode with
   | `Granted -> `Granted
-  | `Would_block blockers -> (
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      Lockmgr.release_latches t.locks ~owner:txn.id;
-      Stats.incr t.stats "txn.op_restarts";
-      block_lock t sched txn obj mode;
-      `Restart
-    | _ -> raise (Conflict blockers))
+  | `Would_block _ when Lockmgr.wait ~unlatch:true t.locks ~txn:txn.id ->
+    Stats.incr t.stats "txn.op_restarts";
+    lock_blocking t txn obj mode;
+    `Restart
+  | `Would_block blockers -> raise (Conflict blockers)
   | `Deadlock ->
     do_abort t txn;
     raise (Deadlock_abort txn.id)
@@ -435,16 +396,15 @@ let recover t =
   (* Make the recovered state durable and reset the logs. *)
   checkpoint t
 
-let open_env clock stats (cfg : Config.t) vfs ?log_vfs ?log_vfss
-    ?(pool_pages = 1024) ?(checkpoint_every = 500) ~log_path () =
+let open_env clock stats (cfg : Config.t) vfs ?log_vfss ?(pool_pages = 1024)
+    ?(checkpoint_every = 500) ~log_path () =
   (* The WAL may live in different file systems than the data — on
      dedicated log spindles, commit forces never move the data heads.
-     [log_vfss] spreads a multi-stream set across several spindles;
-     [log_vfs] keeps the single-home interface. *)
+     [log_vfss] spreads a multi-stream set across several spindles. *)
   let homes =
     match log_vfss with
     | Some homes when Array.length homes > 0 -> homes
-    | _ -> [| Option.value log_vfs ~default:vfs |]
+    | _ -> [| vfs |]
   in
   let logs = Logset.create clock stats cfg ~homes ~path:log_path in
   let pool = Bufpool.create clock stats cfg vfs logs ~pages:pool_pages in
@@ -465,17 +425,7 @@ let open_env clock stats (cfg : Config.t) vfs ?log_vfs ?log_vfss
       committed_since_cp = 0;
       checkpoint_every;
       losers = 0;
-      parked = Hashtbl.create 8;
     }
   in
-  Lockmgr.set_waker locks
-    (Some
-       (fun txnid ->
-         match Hashtbl.find_opt t.parked txnid with
-         | Some c -> (
-           match Sched.of_clock clock with
-           | Some sched -> Sched.broadcast sched c
-           | None -> ())
-         | None -> ()));
   if Logset.flushed_total logs > 0 then recover t else checkpoint t;
   t

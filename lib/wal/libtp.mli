@@ -31,7 +31,6 @@ val open_env :
   Stats.t ->
   Config.t ->
   Vfs.t ->
-  ?log_vfs:Vfs.t ->
   ?log_vfss:Vfs.t array ->
   ?pool_pages:int ->
   ?checkpoint_every:int ->
@@ -42,12 +41,10 @@ val open_env :
     (an unclean shutdown), crash recovery runs first: merge the streams
     in dependency order, redo all durable updates, undo loser
     transactions, checkpoint.
-    [log_vfs] (default: the data [Vfs.t]) is the file system holding
-    [log_path] — pass the file system of a dedicated log spindle to
-    separate WAL forces from data traffic. With
-    [Config.fs.log_streams] > 1, [log_vfss] spreads the streams across
-    several spindles (stream [i] on [log_vfss.(i mod len)]); it
-    overrides [log_vfs] when both are given.
+    [log_vfss] (default: just the data [Vfs.t]) are the file systems
+    holding the log streams at [log_path]: stream [i] lives on
+    [log_vfss.(i mod len)]. Pass the file system of a dedicated log
+    spindle to separate WAL forces from data traffic.
     [checkpoint_every] (default 500) is the number of committed
     transactions between sharp checkpoints. *)
 

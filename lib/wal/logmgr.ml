@@ -4,22 +4,15 @@ type t = {
   cfg : Config.t;
   vfs : Vfs.t;
   fd : Vfs.fd;
-  tag : string option; (* per-stream stats suffix, e.g. "s0" *)
+  stream_force_key : string option; (* "log.<tag>.force" of a tagged stream *)
   buf : Buffer.t; (* records appended since [flushed] *)
   mutable flushed : int; (* bytes durable on disk *)
-  mutable pending_commits : int;
-  (* Group-commit rendezvous state (used only under a Sched scheduler):
-     committers park on [flush_cond] until [force_gen] moves past the
-     generation they joined — every force, whoever triggers it,
-     increments the generation after the fsync, so waking implies the
-     waiter's commit record is durable. *)
+  (* Every force, whoever triggers it, bumps the generation after the
+     fsync. A committer joins a batch only while no force is in flight,
+     so a generation move after it joined means a force that began after
+     its record went in: the record is durable. *)
   mutable force_gen : int;
-  (* A force parks inside the VFS write/fsync (when the log lives on a
-     simulated filesystem those are real I/O), so under a scheduler a
-     second committer can arrive mid-force. Exactly one force runs at a
-     time: [forcing] is the mutex bit, followers park on [flush_cond]. *)
-  mutable forcing : bool;
-  flush_cond : Sched.cond;
+  gc : Groupcommit.t;
 }
 
 (* Incremental log scanning: records are streamed through a bounded
@@ -81,27 +74,20 @@ let open_log ?tag clock stats cfg vfs ~path =
   let tail = scan_end ~stats vfs fd in
   (* Drop any torn tail so new records append at a clean boundary. *)
   if tail < vfs.Vfs.size fd then vfs.Vfs.truncate fd tail;
-  (* Group-commit histograms are part of every benchmark artifact, even
-     when the run never forces (or never waits). *)
   Stats.declare stats "log.force";
-  Stats.declare stats "log.commit_batch";
-  Stats.declare stats "log.group_commit_wait";
-  (match tag with
-  | Some tag -> Stats.declare stats ("log." ^ tag ^ ".force")
-  | None -> ());
+  let stream_force_key = Option.map (fun tag -> "log." ^ tag ^ ".force") tag in
+  Option.iter (Stats.declare stats) stream_force_key;
   {
     clock;
     stats;
     cfg;
     vfs;
     fd;
-    tag;
+    stream_force_key;
     buf = Buffer.create 4096;
     flushed = tail;
-    pending_commits = 0;
     force_gen = 0;
-    forcing = false;
-    flush_cond = Sched.condition ();
+    gc = Groupcommit.create clock stats cfg ~prefix:"log";
   }
 
 let flushed_lsn t = t.flushed
@@ -114,61 +100,36 @@ let append t rec_ =
   Stats.incr t.stats "log.appends";
   lsn
 
+(* One force at a time (the rendezvous's flush exclusion): a second
+   snapshot of the unflushed bytes taken while the first force is parked
+   in its write/fsync would double-write them and double-advance
+   [flushed]. A follower re-checks — the force may have covered it. *)
 let do_force t =
-  (* Serialize: a second fiber snapshotting the same unflushed bytes
-     while the first is parked in the write/fsync would double-write
-     them and double-advance [flushed]. Followers wait the in-flight
-     force out, then re-check — it may already have covered them. *)
-  (match Sched.of_clock t.clock with
-  | Some sched when Sched.in_process sched ->
-    while t.forcing do
-      Sched.wait sched t.flush_cond
-    done
-  | _ -> ());
-  if Buffer.length t.buf > 0 then begin
-    t.forcing <- true;
-    Fun.protect
-      ~finally:(fun () -> t.forcing <- false)
-      (fun () ->
-        let t0 = Clock.now t.clock in
-        let data = Buffer.to_bytes t.buf in
-        t.vfs.Vfs.write t.fd ~off:t.flushed data;
-        t.vfs.Vfs.fsync t.fd;
-        t.flushed <- t.flushed + Bytes.length data;
-        (* Records appended while we were parked in the write/fsync sit
-           behind the snapshot: drop only the flushed prefix. *)
-        let tail =
-          Buffer.sub t.buf (Bytes.length data)
-            (Buffer.length t.buf - Bytes.length data)
-        in
-        Buffer.clear t.buf;
-        Buffer.add_string t.buf tail;
-        if t.pending_commits > 0 then
-          (* Group-commit batch size: how many committers shared this
-             force. *)
-          Stats.observe t.stats "log.commit_batch"
-            (float_of_int t.pending_commits);
-        t.pending_commits <- 0;
-        Stats.incr t.stats "log.forces";
-        Stats.observe t.stats "log.force" (Clock.now t.clock -. t0);
-        (match t.tag with
-        | Some tag ->
-          Stats.observe t.stats ("log." ^ tag ^ ".force")
-            (Clock.now t.clock -. t0)
-        | None -> ());
-        if Stats.tracing t.stats then
-          Stats.emit t.stats ~time:(Clock.now t.clock) "log.force"
-            [
-              ("bytes", Trace.I (Bytes.length data)); ("lsn", Trace.I t.flushed);
-            ];
-        (* The records are on disk: release any committers parked at the
-           rendezvous. Incrementing after the fsync means a woken waiter
-           whose record made the snapshot is guaranteed durable. *)
-        t.force_gen <- t.force_gen + 1;
-        match Sched.of_clock t.clock with
-        | Some sched -> Sched.broadcast sched t.flush_cond
-        | None -> ())
-  end
+  Groupcommit.flush t.gc
+    ~ready:(fun () -> Buffer.length t.buf > 0)
+    (fun () ->
+      let t0 = Clock.now t.clock in
+      let data = Buffer.to_bytes t.buf in
+      t.vfs.Vfs.write t.fd ~off:t.flushed data;
+      t.vfs.Vfs.fsync t.fd;
+      t.flushed <- t.flushed + Bytes.length data;
+      (* Records appended while we were parked in the write/fsync sit
+         behind the snapshot: drop only the flushed prefix. *)
+      let tail =
+        Buffer.sub t.buf (Bytes.length data)
+          (Buffer.length t.buf - Bytes.length data)
+      in
+      Buffer.clear t.buf;
+      Buffer.add_string t.buf tail;
+      Stats.incr t.stats "log.forces";
+      Stats.observe t.stats "log.force" (Clock.now t.clock -. t0);
+      (match t.stream_force_key with
+      | Some key -> Stats.observe t.stats key (Clock.now t.clock -. t0)
+      | None -> ());
+      if Stats.tracing t.stats then
+        Stats.emit t.stats ~time:(Clock.now t.clock) "log.force"
+          [ ("bytes", Trace.I (Bytes.length data)); ("lsn", Trace.I t.flushed) ];
+      t.force_gen <- t.force_gen + 1)
 
 let rec force t ~upto =
   if upto >= t.flushed then begin
@@ -180,89 +141,30 @@ let rec force t ~upto =
   end
 
 let force_commit t ~upto =
+  (* A force already in flight snapshotted the buffer before our record
+     went in: wait it out and join the NEXT batch rather than chasing it
+     with a batch of one — arrivals accumulate while the log arm is
+     busy, which is what fills group-commit batches at high MPL. *)
+  if upto >= t.flushed then Groupcommit.idle t.gc;
   if upto >= t.flushed then begin
-    (* A force already in flight snapshotted the buffer before our
-       record went in: wait it out and join the NEXT batch rather than
-       chasing it with a batch of one — arrivals accumulate while the
-       log arm is busy, which is what fills group-commit batches at
-       high MPL. *)
-    (match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched ->
-      while t.forcing do
-        Sched.wait sched t.flush_cond
-      done
-    | _ -> ())
-  end;
-  if upto >= t.flushed then begin
-    t.pending_commits <- t.pending_commits + 1;
-    let timeout = t.cfg.Config.fs.group_commit_timeout_s in
-    if timeout <= 0.0 || t.pending_commits >= t.cfg.Config.fs.group_commit_size
-    then do_force t
-    else begin
-      match Sched.of_clock t.clock with
-      | Some sched when Sched.in_process sched ->
-        (* Real rendezvous: park until the batch fills (a later
-           committer's inline force) or our batch's timeout process
-           fires. The first committer of a batch arms the timeout. *)
-        let gen = t.force_gen in
-        let t0 = Clock.now t.clock in
-        if t.pending_commits = 1 then
-          Sched.spawn ~daemon:true sched (fun () ->
-              Sched.delay sched timeout;
-              if t.force_gen = gen then do_force t);
-        while t.force_gen = gen do
-          Sched.wait sched t.flush_cond
-        done;
-        (* The force that moved the generation snapshotted the buffer
-           before parking in its write/fsync; a record appended after
-           that snapshot is still volatile. Force the remainder. *)
-        if upto >= t.flushed then force t ~upto;
-        let waited = Clock.now t.clock -. t0 in
-        Stats.add_time t.stats "log.group_commit_wait" waited;
-        Stats.observe t.stats "log.group_commit_wait" waited
-      | _ ->
-        (* Wait for company; at MPL 1 nobody arrives and the timeout
-           expires (Section 4.4). *)
-        Clock.advance t.clock timeout;
-        Stats.add_time t.stats "log.group_commit_wait" timeout;
-        Stats.observe t.stats "log.group_commit_wait" timeout;
-        do_force t
-    end
+    let gen = t.force_gen in
+    Groupcommit.commit t.gc
+      ~waiting:(fun () -> t.force_gen = gen)
+      ~flush:(fun () -> do_force t)
   end
 
 let read_from t lsn = records ~stats:t.stats t.vfs t.fd ~from:lsn
 
+(* Under the flush exclusion: a force parked inside its write/fsync has
+   already snapshotted the buffer and will advance [flushed] by the
+   snapshot length when it resumes — truncating under it would reset
+   [flushed] to 0 only to have the force march it past the now empty
+   file — and no new force may start against the half-truncated file. *)
 let truncate t =
-  (* Serialize with [do_force]: a force parked inside its write/fsync
-     has already snapshotted the buffer and will advance [flushed] by
-     the snapshot length when it resumes — truncating under it would
-     reset [flushed] to 0 only to have the force march it past the now
-     empty file. Wait the in-flight force out, then hold the same mutex
-     across our own (yielding) truncate/fsync so no new force starts
-     against the half-truncated file. *)
-  let sched =
-    match Sched.of_clock t.clock with
-    | Some sched when Sched.in_process sched -> Some sched
-    | _ -> None
-  in
-  (match sched with
-  | Some sched ->
-    while t.forcing do
-      Sched.wait sched t.flush_cond
-    done
-  | None -> ());
-  if Buffer.length t.buf > 0 then
-    invalid_arg "Logmgr.truncate: unflushed records";
-  t.forcing <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      t.forcing <- false;
-      match sched with
-      | Some sched -> Sched.broadcast sched t.flush_cond
-      | None -> ())
-    (fun () ->
+  Groupcommit.exclusive t.gc (fun () ->
+      if Buffer.length t.buf > 0 then
+        invalid_arg "Logmgr.truncate: unflushed records";
       t.vfs.Vfs.truncate t.fd 0;
       t.vfs.Vfs.fsync t.fd;
       t.flushed <- 0);
   Stats.incr t.stats "log.truncations"
-

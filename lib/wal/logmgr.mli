@@ -6,10 +6,11 @@
     log force is an extra positioned write, on LFS it folds into the
     segment stream.
 
-    Optional group commit (Section 4.4): a commit force can wait for more
-    committers or a timeout before issuing the write, amortizing the
-    flush. With a multiprogramming level of 1 the wait always times out,
-    which is why the benches leave it off by default. *)
+    Optional group commit (Section 4.4) through {!Groupcommit}: a commit
+    force can wait for more committers or a timeout before issuing the
+    write, amortizing the flush. With a multiprogramming level of 1 the
+    wait always times out, which is why the benches leave it off by
+    default. *)
 
 type t
 
@@ -40,7 +41,7 @@ val read_from : t -> Logrec.lsn -> (Logrec.lsn * Logrec.t) Seq.t
 
 val truncate : t -> unit
 (** Discard the entire log (used by sharp checkpoints once all dirty
-    pages are flushed and no transaction is active). Waits out any
-    in-flight force and holds the force mutex across the truncate, so a
-    force parked in its write/fsync can neither see [flushed] reset
-    under it nor start against the half-truncated file. *)
+    pages are flushed and no transaction is active), under the forces'
+    exclusion: a force parked in its write/fsync can neither see
+    [flushed] reset under it nor start against the half-truncated
+    file. *)

@@ -272,7 +272,7 @@ let test_explicit_flush_commits () =
 (* Two worker processes lock the same pages in opposite orders. Both
    genuinely park on each other's locks (a real wait-for cycle between
    suspended processes, not a same-thread retry); the detector aborts
-   one and the lock manager's waker resumes the survivor. *)
+   one and the lock manager wakes the survivor. *)
 let test_sched_deadlock_cycle () =
   let sys = boot () in
   let inum = setup_file sys "/db" in

@@ -262,6 +262,113 @@ let test_sched_registry () =
   Sched.detach s1;
   Alcotest.(check bool) "detached" true (Sched.of_clock c1 = None)
 
+(* Three processes contend for one mutex, arriving in the order 3, 1, 2
+   while each holds it for a second: at most one is ever inside, and the
+   mutex passes in arrival order. *)
+let test_sched_mutex_fifo () =
+  let clock = Clock.create () in
+  let sched = Sched.create clock in
+  let m = Sched.Mutex.create clock in
+  let inside = ref 0 and most = ref 0 and order = ref [] in
+  List.iter
+    (fun (id, arrive) ->
+      Sched.spawn sched (fun () ->
+          Sched.delay sched arrive;
+          Sched.Mutex.protect m (fun () ->
+              incr inside;
+              most := max !most !inside;
+              order := id :: !order;
+              Sched.delay sched 1.0;
+              decr inside)))
+    [ (1, 0.1); (2, 0.2); (3, 0.0) ];
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check int) "mutual exclusion" 1 !most;
+  Alcotest.(check (list int)) "FIFO hand-over" [ 3; 1; 2 ] (List.rev !order);
+  Alcotest.(check (float 1e-9)) "three back-to-back holds" 3.0 (Clock.now clock)
+
+let group_cfg ~size ~timeout =
+  {
+    Config.default with
+    fs =
+      {
+        Config.default.fs with
+        group_commit_size = size;
+        group_commit_timeout_s = timeout;
+      };
+  }
+
+let histo_count stats key =
+  match Stats.histo stats key with Some h -> Histo.count h | None -> -1
+
+(* A committer's flush: every joined commit becomes durable after 10 ms
+   of simulated I/O (only a process can park in it). *)
+let batch_flush gc clock ~pending ~durable ~flushes () =
+  Groupcommit.flush gc
+    ~ready:(fun () -> !pending <> [])
+    (fun () ->
+      let batch = !pending in
+      pending := [];
+      (match Sched.current clock with
+      | Some sched -> Sched.delay sched 0.01
+      | None -> ());
+      durable := batch @ !durable;
+      incr flushes)
+
+let test_groupcommit_outside_process () =
+  let clock = Clock.create () and stats = Stats.create () in
+  let gc =
+    Groupcommit.create clock stats (group_cfg ~size:8 ~timeout:0.02)
+      ~prefix:"t"
+  in
+  let pending = ref [ 1 ] and durable = ref [] and flushes = ref 0 in
+  Groupcommit.commit gc
+    ~waiting:(fun () -> not (List.mem 1 !durable))
+    ~flush:(batch_flush gc clock ~pending ~durable ~flushes);
+  Alcotest.(check (float 1e-12)) "clock moved by the timeout" 0.02
+    (Clock.now clock);
+  Alcotest.(check (float 1e-12)) "wait recorded" 0.02
+    (Stats.time stats "t.group_commit_wait");
+  Alcotest.(check int) "one wait sample" 1
+    (histo_count stats "t.group_commit_wait");
+  Alcotest.(check int) "flushed once" 1 !flushes;
+  Alcotest.(check (list int)) "durable on return" [ 1 ] !durable;
+  Alcotest.(check int) "batch of one" 1 (histo_count stats "t.commit_batch")
+
+let test_groupcommit_full_batch () =
+  let clock = Clock.create () and stats = Stats.create () in
+  let sched = Sched.create clock in
+  let gc =
+    Groupcommit.create clock stats (group_cfg ~size:3 ~timeout:1.0)
+      ~prefix:"t"
+  in
+  let pending = ref [] and durable = ref [] and flushes = ref 0 in
+  let returned = ref [] in
+  for id = 1 to 3 do
+    Sched.spawn sched (fun () ->
+        Sched.delay sched (0.001 *. float_of_int id);
+        pending := id :: !pending;
+        Groupcommit.commit gc
+          ~waiting:(fun () -> not (List.mem id !durable))
+          ~flush:(batch_flush gc clock ~pending ~durable ~flushes);
+        Alcotest.(check bool) "durable on return" true (List.mem id !durable);
+        returned := id :: !returned)
+  done;
+  Sched.run sched;
+  Sched.detach sched;
+  Alcotest.(check int) "one flush" 1 !flushes;
+  Alcotest.(check (list int)) "every committer woke" [ 1; 2; 3 ]
+    (List.sort compare !returned);
+  Alcotest.(check (float 1e-12)) "no timeout: done after the flush" 0.013
+    (Clock.now clock);
+  (match Stats.histo stats "t.commit_batch" with
+  | Some h ->
+    Alcotest.(check int) "one batch" 1 (Histo.count h);
+    Alcotest.(check (float 0.0)) "of three" 3.0 (Histo.sum h)
+  | None -> Alcotest.fail "no batch histogram");
+  Alcotest.(check int) "the two parked committers' waits" 2
+    (histo_count stats "t.group_commit_wait")
+
 (* JSON --------------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -492,6 +599,13 @@ let () =
           Alcotest.test_case "sleep into the past yields" `Quick
             test_sched_sleep_until_past_still_yields;
           Alcotest.test_case "registry" `Quick test_sched_registry;
+          Alcotest.test_case "mutex fifo" `Quick test_sched_mutex_fifo;
+        ] );
+      ( "groupcommit",
+        [
+          Alcotest.test_case "outside any process" `Quick
+            test_groupcommit_outside_process;
+          Alcotest.test_case "full batch" `Quick test_groupcommit_full_batch;
         ] );
       ( "rng",
         [
