@@ -564,7 +564,7 @@ let faultsim_cmd =
       log_disk log_streams lock_grain =
     let config =
       machine_config ~ndisks ~log_disk ~log_streams ~lock_grain
-        (Sweep.config setup)
+        (Sweep.config ~mpl setup)
     in
     let one, swp =
       match workload with
